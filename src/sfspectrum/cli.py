@@ -34,7 +34,7 @@ from .graph import (
     similarity_classes,
     enumerate_cycle_subgraphs,
 )
-from .polymatrix import ParamMatrix, ParamPoint, ParamPoly
+from .polymatrix import FALLBACK_PRIME, FIELD_PRIME, ParamMatrix, ParamPoint, ParamPoly
 from .structural import closed_loop_generic_rank, decide_linear, decide_polynomial
 from .system import (
     ChannelSubset,
@@ -82,7 +82,13 @@ def _parse_coeff(text, where: str) -> Fraction:
         raise SystemFileError(
             f"{where}: coefficient must be a decimal-free 'num' or 'num/den' string, got {text!r}"
         )
-    return Fraction(text)
+    value = Fraction(text)
+    if value.denominator % FIELD_PRIME == 0 and value.denominator % FALLBACK_PRIME == 0:
+        raise SystemFileError(
+            f"{where}: coefficient {text} has a denominator divisible by both evaluation "
+            f"primes {FIELD_PRIME} and {FALLBACK_PRIME}, so no prime field can evaluate it"
+        )
+    return value
 
 
 def _parse_entries(
@@ -190,9 +196,12 @@ def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSys
         )
         for i in range(k)
     )
-    system = MultiChannelSystem(
-        n=n, channels=tuple(channels), A=A, B_blocks=B_blocks, C_blocks=C_blocks, q=q
-    )
+    try:
+        system = MultiChannelSystem(
+            n=n, channels=tuple(channels), A=A, B_blocks=B_blocks, C_blocks=C_blocks, q=q
+        )
+    except ValueError as err:  # each evaluation prime divides some denominator
+        raise SystemFileError(f"{where}: {err}") from err
     return system, list(names)
 
 

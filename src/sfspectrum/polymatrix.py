@@ -19,6 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "FIELD_PRIME",
+    "FALLBACK_PRIME",
+    "evaluation_prime",
     "ParamPoly",
     "ParamMatrix",
     "ParamPoint",
@@ -32,6 +34,9 @@ __all__ = [
 # size, keeping the per-trial failure probability of randomized rank tests
 # under 2**-40.
 FIELD_PRIME = 2305843009213693967
+# The Mersenne prime 2**61 - 1: the evaluation field of a system with a
+# coefficient denominator divisible by FIELD_PRIME.
+FALLBACK_PRIME = 2**61 - 1
 
 Rational = Fraction | int
 # Canonical monomial: ((param index, exponent), ...) sorted by index, all
@@ -378,14 +383,6 @@ class ParamMatrix:
                     acc[key] = acc.get(key, ParamPoly.zero()) + lpoly * rpoly
         return ParamMatrix(self.rows, other.cols, acc, self.param_count)
 
-    def transpose(self) -> "ParamMatrix":
-        return ParamMatrix(
-            self.cols,
-            self.rows,
-            {(j, i): poly for (i, j), poly in self._entries.items()},
-            self.param_count,
-        )
-
     def shift_params(self, offset: int, param_count: int) -> "ParamMatrix":
         """Reindex parameters by offset into a space of param_count parameters."""
         return ParamMatrix(
@@ -455,6 +452,29 @@ class ParamMatrix:
         return out
 
 
+def evaluation_prime(mats: Iterable[ParamMatrix]) -> int:
+    """The prime field in which to evaluate these matrices.
+
+    FIELD_PRIME unless it divides some coefficient denominator, then
+    FALLBACK_PRIME; every coefficient must map to a residue.  Raises
+    ValueError naming the offending coefficients when both primes fail.
+    """
+    fractional = [
+        coeff
+        for m in mats
+        for poly in m._entries.values()
+        for coeff in poly.terms.values()
+        if coeff.denominator != 1
+    ]
+    blocking = []
+    for prime in (FIELD_PRIME, FALLBACK_PRIME):
+        hit = next((c for c in fractional if c.denominator % prime == 0), None)
+        if hit is None:
+            return prime
+        blocking.append(f"{prime} divides the denominator of coefficient {hit}")
+    raise ValueError("no evaluation prime fits: " + "; ".join(blocking))
+
+
 def _residue(x, modulus: int) -> int:
     if isinstance(x, Fraction):
         return x.numerator * pow(x.denominator, -1, modulus) % modulus
@@ -511,10 +531,11 @@ def grank(m: ParamMatrix, trials: int = 10, seed: int = 0) -> int:
         raise ValueError("trials must be >= 1")
     best = 0
     cap = min(m.rows, m.cols)
+    p = evaluation_prime([m])
     rng = random.Random(seed)
     for _ in range(trials):
-        values = [rng.randrange(FIELD_PRIME) for _ in range(m.param_count)]
-        best = max(best, rank_exact(m.evaluate_at(values, FIELD_PRIME), FIELD_PRIME))
+        values = [rng.randrange(p) for _ in range(m.param_count)]
+        best = max(best, rank_exact(m.evaluate_at(values, p), p))
         if best == cap:
             break
     return best

@@ -3,25 +3,35 @@
 Three decision routes are provided:
 
 * ``decide_polynomial`` works for any polynomial parameterization.  It samples
-  random rational parameter points and, at each point, decides exactly whether
-  some eigenvalue makes the bordered pencil of a channel subset drop rank.
-  The per-point test is algebraic: a rank drop at lambda forces lambda into
-  the spectrum of A + B_S E + K C for every E and K, so a constant gcd of the
-  characteristic polynomials of A and two random such perturbations proves no
-  drop exists.  Because rank-deficiency sets are proper algebraic varieties,
-  one certifying sample discards a subset for almost every parameter value.
+  random parameter points with integer coordinates in [-300, 300] and, at
+  each point, decides exactly whether some eigenvalue makes the bordered
+  pencil of a channel subset drop rank.  The per-point test is algebraic: a
+  rank drop at lambda forces lambda into the spectrum of A + B_S E + K C for
+  every E and K, so a constant gcd of the characteristic polynomials of A and
+  a few random integer perturbations (entries in [-99, 99]) proves no drop
+  exists.  The characteristic polynomials and their gcd are computed in
+  GF(p), p the system's evaluation prime; they are monic with p-integral
+  coefficients, so by Gauss's lemma a constant gcd mod p proves a constant
+  gcd over Q and the certificate stays exact.  Because rank-deficiency sets
+  are proper algebraic varieties, one certifying sample discards a subset for
+  almost every parameter value.
 
 * ``decide_linear`` specializes to linearly parameterized systems: the system
   has a structurally fixed spectrum iff the closed-loop generic rank of
   A + B F C (F the fresh-parameter feedback pattern) falls below n, or some
   channel subset has an identically-zero transfer to the complement outputs
   while its generic controllable dimension stays below the complement's
-  generic unobservable dimension.
+  generic unobservable dimension.  Every question is answered at uniform
+  points of GF(p).
 
 * the graphical route for binary parameterizations lives in ``graph``.
 
 No-SFS verdicts rest on an explicit certificate; SFS verdicts are correct up
-to the (recorded) failure probability of the random sampling.
+to the failure probability of the random sampling.  For the routes that
+sample in GF(p) that is at most (degree) / p per trial, below 2^-40 at desk
+scale.  The pencil route samples from the small integer ranges above, so its
+per-sample bound is the Schwartz-Zippel bound relative to those ranges
+instead, made small only by repeating the sample ``trials`` times.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polymatrix import FIELD_PRIME, ParamMatrix, grank, rank_exact
+from .polymatrix import ParamMatrix, _residue, grank, rank_exact
 from .system import (
     ChannelSubset,
     LinearParamDecomposition,
@@ -87,83 +97,117 @@ class StructuralVerdict:
             raise ValueError("witness must be present exactly for subset-based reasons")
 
 
-# -- exact linear algebra over the rationals ---------------------------------
+# -- one exact kernel over Q or GF(p) -----------------------------------------
+#
+# ``modulus=None`` selects the rationals (entries become Fractions);
+# otherwise every value is a residue in [0, modulus).
 
 
-def _mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for t in range(inner):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] += x * bt[j]
-    return out
+def _to_field(x, p):
+    return Fraction(x) if p is None else _residue(x, p)
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _inverse(x, p):
+    return Fraction(1) / x if p is None else pow(x, -1, p)
 
 
-def char_poly_exact(M) -> list[Fraction]:
-    """Characteristic polynomial of a rational matrix, leading coefficient first.
+def _sub_scaled(xs, f, ys, p):
+    """The vector xs - f * ys (over the shorter length), in the field of p."""
+    if p is None:
+        return [x - f * y for x, y in zip(xs, ys)]
+    return [(x - f * y) % p for x, y in zip(xs, ys)]
 
-    Faddeev-LeVerrier recursion, exact in Fractions.
+
+def char_poly_exact(M, modulus: int | None = None) -> list:
+    """Characteristic polynomial det(tI - M), leading coefficient first.
+
+    Exact over Q (``modulus`` None; Fraction coefficients) or over
+    GF(modulus) (residue coefficients).  M is first brought to upper
+    Hessenberg form H by similarity eliminations (row i -= u * row m paired
+    with column m += u * column i), then the characteristic polynomials of
+    the leading principal blocks of H follow by the Hessenberg recurrence
+    (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.2.9).  O(n^3) field operations.
     """
+    p = modulus
     n = len(M)
-    coeffs = [Fraction(1)]
-    N = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        MN = _mat_mul(M, N)
-        trace = sum(MN[i][i] for i in range(n))
-        c_k = -Fraction(trace) / k
-        coeffs.append(c_k)
-        for i in range(n):
-            MN[i][i] += c_k
-        N = MN
-    return coeffs
+    H = [[_to_field(x, p) for x in row] for row in M]
+    for m in range(1, n - 1):
+        col = m - 1
+        pivot = next((i for i in range(m, n) if H[i][col]), None)
+        if pivot is None:
+            continue  # column already reduced: H is block upper triangular here
+        if pivot != m:
+            H[m], H[pivot] = H[pivot], H[m]
+            for row in H:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = _inverse(H[m][col], p)
+        for i in range(m + 1, n):
+            u = H[i][col] * inv
+            if p is not None:
+                u %= p
+            if not u:
+                continue
+            H[i] = _sub_scaled(H[i], u, H[m], p)
+            column = _sub_scaled([row[m] for row in H], -u, [row[i] for row in H], p)
+            for row, x in zip(H, column):
+                row[m] = x
+    zero, one = _to_field(0, p), _to_field(1, p)
+    # polys[k] is the characteristic polynomial of the leading k x k block
+    # of H, constant coefficient first
+    polys = [[one]]
+    for c in range(n):
+        cur = _sub_scaled([zero] + polys[c], H[c][c], polys[c] + [zero], p)
+        t = one
+        for i in range(1, c + 1):
+            t = t * H[c - i + 1][c - i]
+            if p is not None:
+                t %= p
+            if not t:
+                break  # a zero subdiagonal entry ends the coupling to earlier blocks
+            f = t * H[c - i][c]
+            if f:
+                k = c - i + 1
+                cur[:k] = _sub_scaled(cur[:k], f, polys[c - i], p)
+        polys.append(cur)
+    return polys[n][::-1]
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+def _poly_trim(c: list) -> list:
+    """Drop leading zero coefficients; the zero polynomial is [0]."""
     i = 0
-    while i < len(p) - 1 and p[i] == 0:
+    while i < len(c) and not c[i]:
         i += 1
-    return p[i:]
+    return c[i:] or [0]
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial modulo zero")
-    while len(a) >= len(b) and a != [Fraction(0)]:
-        factor = a[0] / b[0]
-        a = [a[i] - factor * b[i] for i in range(len(b))] + a[len(b):]
-        # the leading coefficient cancelled exactly
-        a = _poly_trim(a[1:]) if len(a) > 1 else [Fraction(0)]
+def poly_gcd(a: list, b: list, modulus: int | None = None) -> list:
+    """Monic gcd of two univariate polynomials, coefficients leading first.
+
+    Over Q (``modulus`` None) or over GF(modulus).  The gcd of two zero
+    polynomials is [0].
+    """
+    p = modulus
+    a = _poly_trim([_to_field(x, p) for x in a])
+    b = _poly_trim([_to_field(x, p) for x in b])
+    while b[0]:
+        inv = _inverse(b[0], p)
+        while a[0] and len(a) >= len(b):
+            f = a[0] * inv
+            a = _poly_trim(_sub_scaled(a[1:], f, b[1:], p) + a[len(b):])
+        a, b = b, a
+    if a[0]:
+        inv = _inverse(a[0], p)
+        a = [x * inv if p is None else x * inv % p for x in a]
     return a
 
 
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two rational univariate polynomials (coefficients high-first)."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b != [Fraction(0)]:
-        a, b = b, _poly_mod(a, b)
-    if a[0] != 0:
-        a = [c / a[0] for c in a]
-    return a
-
-
-def _evaluated_split(sys: MultiChannelSystem, s: ChannelSubset, values):
-    A = sys.A.evaluate_at(values)
-    B_S, C_compl = split(sys, s)
-    return A, B_S.evaluate_at(values), C_compl.evaluate_at(values)
+def _perturbation(rng: random.Random, rows: int, cols: int, p: int):
+    """A random integer matrix with entries in [-R, R], as residues mod p."""
+    return [
+        [rng.randint(-PERTURBATION_RANGE, PERTURBATION_RANGE) % p for _ in range(cols)]
+        for _ in range(rows)
+    ]
 
 
 def pencil_drop_at_point(
@@ -177,33 +221,35 @@ def pencil_drop_at_point(
 
     A drop at lambda puts lambda in the spectrum of A + B_S E + K C for every
     E and K, so a constant gcd of the characteristic polynomials of A and
-    ``draws`` random perturbations certifies that no drop exists.  A
-    nonconstant gcd reports a drop; spurious shared roots across all draws
-    are negligible.
+    ``draws`` random integer perturbations certifies that no drop exists.
+
+    ``values`` are rational coordinates whose denominators the system's
+    evaluation prime p does not divide.  The whole test runs in GF(p): the
+    characteristic polynomials are monic with p-integral coefficients, so
+    by Gauss's lemma a nonconstant gcd over Q stays nonconstant mod p, and
+    a constant gcd mod p proves a constant gcd over Q.  A "no drop" answer
+    is therefore exact; the only extra error (p dividing a resultant)
+    reports a drop and merely costs another sample.  A nonconstant gcd
+    reports a drop; spurious shared roots across all draws are negligible.
     """
     rng = random.Random(seed)
-    A, B_S, C_compl = _evaluated_split(sys, s, values)
-    n = sys.n
-    ms = len(B_S[0]) if B_S and B_S[0] else 0
-    lc = len(C_compl)
-    g = char_poly_exact(A)
+    p = sys.prime
+    residues = [_residue(v, p) for v in values]
+    B_S, C_compl = split(sys, s)
+    A = sys.A.evaluate_at(residues, p)
+    B = B_S.evaluate_at(residues, p)
+    C = C_compl.evaluate_at(residues, p)
+    n, ms, lc = sys.n, B_S.cols, C_compl.rows
+    g = char_poly_exact(A, p)
     for _ in range(draws):
-        M = [row[:] for row in A]
-        if ms:
-            E = [
-                [Fraction(rng.randint(-PERTURBATION_RANGE, PERTURBATION_RANGE)) for _ in range(n)]
-                for _ in range(ms)
-            ]
-            M = _mat_add(M, _mat_mul(B_S, E))
-        if lc:
-            K = [
-                [Fraction(rng.randint(-PERTURBATION_RANGE, PERTURBATION_RANGE)) for _ in range(lc)]
-                for _ in range(n)
-            ]
-            M = _mat_add(M, _mat_mul(K, C_compl))
         if not ms and not lc:
             break  # no feedback paths at all; the gcd stays the full polynomial
-        g = poly_gcd(g, char_poly_exact(M))
+        M = A
+        if ms:
+            M = _mat_add_mod(M, _mat_mul_mod(B, _perturbation(rng, ms, n, p), p), p)
+        if lc:
+            M = _mat_add_mod(M, _mat_mul_mod(_perturbation(rng, n, lc, p), C, p), p)
+        g = poly_gcd(g, char_poly_exact(M, p), p)
         if len(g) == 1:
             return False
     return len(g) > 1
@@ -214,7 +260,7 @@ def decide_polynomial(
 ) -> StructuralVerdict:
     """Decide structurally fixed spectrum for a polynomial parameterization.
 
-    For each channel subset, random rational points are sampled; one point
+    For each channel subset, random integer points are sampled; one point
     with no pencil drop discards the subset (exactly, for that point; for
     almost all parameters by genericity).  A subset failing at every sample
     is returned as witness.
@@ -286,6 +332,10 @@ def _mat_mul_mod(a, b, p):
     return out
 
 
+def _mat_add_mod(a, b, p):
+    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def markov_identity(
     sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
 ) -> bool:
@@ -300,7 +350,7 @@ def markov_identity(
     B_S, C_compl = split(sys, s)
     if B_S.cols == 0 or C_compl.rows == 0:
         return True
-    p = FIELD_PRIME
+    p = sys.prime
     for _ in range(trials):
         values = [rng.randrange(p) for _ in range(sys.q)]
         A = sys.A.evaluate_at(values, p)
@@ -328,7 +378,7 @@ def generic_dims(
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
     n = sys.n
-    p = FIELD_PRIME
+    p = sys.prime
     best_ctrb = 0
     best_obs = 0
     for _ in range(trials):
@@ -361,7 +411,7 @@ def closed_loop_generic_rank(
     fp = feedback_pattern(sys)
     B, C = stack(sys)
     rng = random.Random(seed)
-    p = FIELD_PRIME
+    p = sys.prime
     best = 0
     for _ in range(trials):
         values = [rng.randrange(p) for _ in range(sys.q)]
@@ -371,10 +421,7 @@ def closed_loop_generic_rank(
             Bn = B.evaluate_at(values, p)
             Cn = C.evaluate_at(values, p)
             Fn = fp.F.evaluate_at(f_values, p)
-            gain = _mat_mul_mod(_mat_mul_mod(Bn, Fn, p), Cn, p)
-            for i in range(sys.n):
-                for j in range(sys.n):
-                    closed[i][j] = (closed[i][j] + gain[i][j]) % p
+            closed = _mat_add_mod(closed, _mat_mul_mod(_mat_mul_mod(Bn, Fn, p), Cn, p), p)
         best = max(best, rank_exact(closed, p))
         if best == sys.n:
             break

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .polymatrix import ParamMatrix, ParamPoly
+from .polymatrix import ParamMatrix, ParamPoly, evaluation_prime
 
 __all__ = [
     "MultiChannelSystem",
@@ -99,7 +99,9 @@ class MultiChannelSystem:
 
     channels lists (input width m_i, output width l_i) per channel; A is
     n x n, each B block n x m_i, each C block l_i x n, all over the same
-    q-parameter space.
+    q-parameter space.  ``prime`` is the modulus of the prime field every
+    randomized route evaluates the system in (``evaluation_prime`` of its
+    blocks); construction fails when no such prime fits the coefficients.
     """
 
     n: int
@@ -108,6 +110,7 @@ class MultiChannelSystem:
     B_blocks: tuple[ParamMatrix, ...]
     C_blocks: tuple[ParamMatrix, ...]
     q: int
+    prime: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -125,9 +128,11 @@ class MultiChannelSystem:
                 raise ValueError(f"B block {i + 1} must be {self.n} x {m_i}")
             if (C_i.rows, C_i.cols) != (l_i, self.n):
                 raise ValueError(f"C block {i + 1} must be {l_i} x {self.n}")
-        for mat in (self.A, *self.B_blocks, *self.C_blocks):
+        blocks = (self.A, *self.B_blocks, *self.C_blocks)
+        for mat in blocks:
             if mat.param_count != self.q:
                 raise ValueError("all blocks must share the same parameter space")
+        object.__setattr__(self, "prime", evaluation_prime(blocks))
 
     @property
     def k(self) -> int:

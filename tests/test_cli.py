@@ -22,6 +22,7 @@ from sfspectrum.cli import (
     serialize_system,
 )
 from sfspectrum.ensembles import random_binary_system
+from sfspectrum.polymatrix import FALLBACK_PRIME, FIELD_PRIME
 from conftest import (
     repeated_diagonal_counterexample,
     two_channel_shared_params,
@@ -298,3 +299,59 @@ class TestMainEntry:
     def test_bad_set_syntax(self, worked_file, capsys):
         code = main(["fixed-modes", str(worked_file), "--set", "p1=0.5"])
         assert code == EXIT_USAGE
+
+
+def _shared_demo_doc() -> dict:
+    path = Path(__file__).resolve().parent.parent / "demos" / "systems" / "two_channel_shared.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestEvaluationPrime:
+    """Coefficient denominators divisible by FIELD_PRIME switch every GF(p) route."""
+
+    def _write(self, tmp_path, doc) -> Path:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def _analyze(self, tmp_path, doc, capsys) -> dict:
+        code = main(["analyze", str(self._write(tmp_path, doc)), "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["consistency"]["agree"] is True
+        return report
+
+    def test_demo_keeps_field_prime(self):
+        system, _ = parse_system_dict(_shared_demo_doc())
+        assert system.prime == FIELD_PRIME
+
+    def test_linear_system_with_field_prime_denominator(self, tmp_path, capsys):
+        doc = _shared_demo_doc()
+        doc["B"][0][0]["terms"][0]["coeff"] = f"1/{FIELD_PRIME}"
+        assert parse_system_dict(doc)[0].prime == FALLBACK_PRIME
+        report = self._analyze(tmp_path, doc, capsys)
+        assert report["verdicts"]["algebraic"]["has_sfs"] is False
+        assert report["verdicts"]["pencil_sampling"]["has_sfs"] is False
+
+    def test_nonlinear_system_with_field_prime_denominator(self, tmp_path, capsys):
+        doc = _shared_demo_doc()
+        doc["B"][0][0]["terms"][0]["coeff"] = f"1/{FIELD_PRIME}"
+        doc["A"][0]["terms"][0]["monomial"] = {"p1": 2}
+        report = self._analyze(tmp_path, doc, capsys)
+        assert report["verdicts"]["algebraic"] is None
+        assert report["verdicts"]["pencil_sampling"]["has_sfs"] is False
+
+    def test_denominator_divisible_by_both_primes_rejected(self, tmp_path, capsys):
+        doc = _shared_demo_doc()
+        doc["B"][0][0]["terms"][0]["coeff"] = f"1/{FIELD_PRIME * FALLBACK_PRIME}"
+        with pytest.raises(SystemFileError, match=r"B\[1\], entry 0, term 0: coefficient 1/"):
+            parse_system_dict(doc)
+        assert main(["analyze", str(self._write(tmp_path, doc))]) == EXIT_USAGE
+        assert "both evaluation primes" in capsys.readouterr().err
+
+    def test_primes_blocked_by_different_coefficients_rejected(self):
+        doc = _shared_demo_doc()
+        doc["B"][0][0]["terms"][0]["coeff"] = f"3/{FIELD_PRIME}"
+        doc["C"][0][0]["terms"][0]["coeff"] = f"1/{FALLBACK_PRIME}"
+        with pytest.raises(SystemFileError, match="no evaluation prime fits"):
+            parse_system_dict(doc)

@@ -16,6 +16,7 @@ from sfspectrum import (
     rank_exact,
     rational_point,
 )
+from sfspectrum.polymatrix import FALLBACK_PRIME, evaluation_prime
 from conftest import two_channel_shared_params
 
 p = ParamPoly.param
@@ -143,6 +144,16 @@ class TestGrank:
                 break
         assert witness is not None
         assert grank(closed) == 2
+
+    def test_field_prime_denominator_switches_prime(self):
+        m = ParamMatrix.from_rows(
+            [[ParamPoly({((0, 1),): Fraction(1, FIELD_PRIME)}), p(1)], [p(1), p(2)]], 3
+        )
+        assert evaluation_prime([m]) == FALLBACK_PRIME
+        assert grank(m) == 2
+        both = ParamPoly.constant(Fraction(1, FIELD_PRIME * FALLBACK_PRIME))
+        with pytest.raises(ValueError, match="no evaluation prime fits"):
+            evaluation_prime([ParamMatrix.from_rows([[both]], 0)])
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

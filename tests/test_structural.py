@@ -29,11 +29,46 @@ from sfspectrum.structural import (
     pencil_drop_at_point,
     poly_gcd,
 )
-from sfspectrum.system import all_subsets
+from sfspectrum.polymatrix import FIELD_PRIME
+from sfspectrum.system import all_subsets, split
 from sfspectrum.ensembles import random_binary_system
 
 p = ParamPoly.param
 F = Fraction
+
+
+P = FIELD_PRIME
+
+
+def _mat_mul_q(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _mat_add_q(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _char_poly_at(coeffs, M):
+    """chi(M) by Horner's rule over Q."""
+    n = len(M)
+    out = [[F(0)] * n for _ in range(n)]
+    for c in coeffs:
+        out = _mat_mul_q(out, M)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def _random_rational_matrix(rng, n):
+    return [
+        [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.7 else F(0)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _mod(c):
+    return c.numerator * pow(c.denominator, -1, P) % P
 
 
 class TestExactHelpers:
@@ -41,15 +76,114 @@ class TestExactHelpers:
         # companion matrix of t^2 - 3t + 2 = (t-1)(t-2)
         M = [[F(0), F(-2)], [F(1), F(3)]]
         assert char_poly_exact(M) == [F(1), F(-3), F(2)]
+        assert char_poly_exact(M, P) == [1, P - 3, 2]
+
+    def test_cayley_hamilton_over_q(self):
+        rng = random.Random(5)
+        for n in range(1, 8):
+            for _ in range(4):
+                M = _random_rational_matrix(rng, n)
+                coeffs = char_poly_exact(M)
+                assert len(coeffs) == n + 1 and coeffs[0] == 1
+                assert coeffs[1] == -sum(M[i][i] for i in range(n))
+                assert _char_poly_at(coeffs, M) == [[0] * n for _ in range(n)]
+
+    def test_prime_field_is_rational_result_reduced(self):
+        rng = random.Random(6)
+        for n in range(1, 8):
+            for _ in range(4):
+                M = _random_rational_matrix(rng, n)
+                assert char_poly_exact(M, P) == [_mod(c) for c in char_poly_exact(M)]
+
+    def test_pivot_swap(self):
+        # zero subdiagonal entry in column 1 with a nonzero entry below it
+        M = [[1, 2, 3], [0, 4, 5], [6, 7, 8]]
+        assert char_poly_exact(M) == [1, -13, -9, 15]
+        assert char_poly_exact(M, P) == [1, P - 13, P - 9, 15]
+
+    def test_block_triangular_without_pivot(self):
+        # no column needs an elimination; zero subdiagonal entries split the
+        # recurrence into the diagonal blocks
+        M = [[1, 2, 3], [0, 4, 5], [0, 0, 6]]
+        assert char_poly_exact(M) == [1, -11, 34, -24]  # (t-1)(t-4)(t-6)
+        assert char_poly_exact(M, P) == [1, P - 11, 34, P - 24]
+        M = [[2, 1, 7, 2], [3, 4, 1, 9], [0, 0, 1, 5], [0, 0, 1, 1]]
+        # (t^2 - 6t + 5)(t^2 - 2t - 4)
+        assert char_poly_exact(M) == [1, -8, 13, 14, -20]
+        assert char_poly_exact(M, P) == [1, P - 8, 13, 14, P - 20]
+
+    def test_one_by_one(self):
+        assert char_poly_exact([[F(5, 3)]]) == [1, F(-5, 3)]
+        assert char_poly_exact([[F(5, 3)]], P) == [1, _mod(F(-5, 3))]
 
     def test_poly_gcd_shared_factor(self):
         # (t-1)(t-2) and (t-1)(t+5)
         a = [F(1), F(-3), F(2)]
         b = [F(1), F(4), F(-5)]
         assert poly_gcd(a, b) == [F(1), F(-1)]
+        assert poly_gcd([2 * x for x in a], b, P) == [1, P - 1]
 
     def test_poly_gcd_coprime(self):
         assert poly_gcd([F(1), F(0)], [F(1), F(-3)]) == [F(1)]
+        assert poly_gcd([1, 0], [1, P - 3], P) == [1]
+
+    def test_poly_gcd_mod_p_matches_rational(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            common = [F(1)] + [F(rng.randint(-5, 5)) for _ in range(rng.randint(0, 2))]
+            a = [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+            b = [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+            a = _poly_mul(common, a)
+            b = _poly_mul(common, b)
+            assert poly_gcd(a, b, P) == [_mod(c) for c in poly_gcd(a, b)]
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pencil_drop_over_q(sys_, s, values, seed, draws=3):
+    """Reference for pencil_drop_at_point: the same E and K draws, over Q."""
+    rng = random.Random(seed)
+    B_S, C_compl = split(sys_, s)
+    A = sys_.A.evaluate_at(values)
+    B, C = B_S.evaluate_at(values), C_compl.evaluate_at(values)
+    g = char_poly_exact(A)
+    for _ in range(draws):
+        if not B_S.cols and not C_compl.rows:
+            break
+        M = A
+        if B_S.cols:
+            E = [[F(rng.randint(-99, 99)) for _ in range(sys_.n)] for _ in range(B_S.cols)]
+            M = _mat_add_q(M, _mat_mul_q(B, E))
+        if C_compl.rows:
+            K = [[F(rng.randint(-99, 99)) for _ in range(C_compl.rows)] for _ in range(sys_.n)]
+            M = _mat_add_q(M, _mat_mul_q(K, C))
+        g = poly_gcd(g, char_poly_exact(M))
+        if len(g) == 1:
+            return False
+    return len(g) > 1
+
+
+class TestPencilAgreement:
+    def test_prime_field_pencil_matches_rational_reference(self):
+        rng = random.Random(44)
+        outcomes = set()
+        for seed in range(40):
+            sys_ = random_binary_system(seed=seed + 900, max_n=5, max_k=3)
+            for s in all_subsets(sys_.k):
+                for _ in range(2):
+                    values = [F(rng.randint(-300, 300), rng.choice((1, 1, 4, 9)))
+                              for _ in range(sys_.q)]
+                    sub_seed = rng.randrange(2**32)
+                    drop = pencil_drop_at_point(sys_, s, values, seed=sub_seed)
+                    assert drop == _pencil_drop_over_q(sys_, s, values, sub_seed)
+                    outcomes.add(drop)
+        assert outcomes == {True, False}
 
 
 class TestDecidePolynomial:
