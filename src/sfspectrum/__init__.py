@@ -27,7 +27,6 @@ from .system import (
     classify,
     detect_linear_parameterization,
     feedback_pattern,
-    is_polynomially_parameterized,
     split,
     stack,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "split",
     "feedback_pattern",
     "detect_linear_parameterization",
-    "is_polynomially_parameterized",
     "classify",
     "NumericSystem",
     "FixedSpectrumResult",

@@ -349,7 +349,12 @@ def enumerate_cycle_subgraphs(
 
         extend(v0)
 
-    search()
+    try:
+        search()
+    except EnumerationBudgetExceeded:
+        # the traceback keeps these frames alive; drop the partial answer
+        results.clear()
+        raise
     return sorted(results, key=lambda sub: sub.cycles)
 
 

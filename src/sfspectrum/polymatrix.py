@@ -24,6 +24,7 @@ __all__ = [
     "ParamPoly",
     "ParamMatrix",
     "ParamPoint",
+    "Echelon",
     "rank_exact",
     "grank",
     "field_point",
@@ -481,43 +482,66 @@ def _residue(x, modulus: int) -> int:
     return x % modulus
 
 
-def rank_exact(matrix: Sequence[Sequence], modulus: int | None = None) -> int:
-    """Exact rank by Gaussian elimination, over Q or over GF(modulus)."""
-    work = [list(row) for row in matrix]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    if modulus is not None:
-        work = [[_residue(x, modulus) for x in row] for row in work]
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        if modulus is None:
-            inv = Fraction(1) / _as_fraction(work[row][col])
-            work[row] = [x * inv for x in work[row]]
-            for r in range(nrows):
-                if r != row and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+class Echelon:
+    """A row-echelon basis over Q (``modulus`` None) or GF(modulus), grown row by row.
+
+    Each kept row is stored from its pivot (first nonzero entry) on, scaled
+    so the pivot is 1, and it is zero at the pivots of the rows kept before
+    it.  So one forward pass over the kept rows, in order, reduces a new
+    vector.  Over GF(p) the vectors must already hold residues; the pass
+    defers reduction mod p to the end (each step adds less than p^2 to an
+    entry's magnitude).
+    """
+
+    __slots__ = ("modulus", "_rows")
+
+    def __init__(self, modulus: int | None = None):
+        self.modulus = modulus
+        self._rows: list[tuple[int, list]] = []
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, vec: Sequence) -> bool:
+        """Keep ``vec`` iff it lies outside the span of the kept rows; True when kept."""
+        p = self.modulus
+        if len(self._rows) >= len(vec):
+            return False
+        v = list(vec)
+        for piv, tail in self._rows:
+            f = v[piv] if p is None else v[piv] % p
+            if f:
+                v[piv:] = [a - f * b for a, b in zip(v[piv:], tail)]
+        if p is not None:
+            v = [x % p for x in v]
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        if p is None:
+            inv = Fraction(1) / _as_fraction(v[piv])
+            tail = [x * inv for x in v[piv:]]
         else:
-            inv = pow(work[row][col], -1, modulus)
-            work[row] = [x * inv % modulus for x in work[row]]
-            for r in range(nrows):
-                if r != row and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [(a - factor * b) % modulus for a, b in zip(work[r], work[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
+            inv = pow(v[piv], -1, p)
+            tail = [x * inv % p for x in v[piv:]]
+        self._rows.append((piv, tail))
+        return True
+
+
+def rank_exact(matrix: Sequence[Sequence], modulus: int | None = None) -> int:
+    """Exact rank over Q (``modulus`` None) or over GF(modulus).
+
+    Forward elimination: the rows enter an ``Echelon`` basis one by one
+    (over GF(p) each entry is mapped to its residue once, on entry), and
+    the pass stops as soon as the rank reaches the row width.
+    """
+    basis = Echelon(modulus)
+    for row in matrix:
+        if len(basis) == len(row):
             break
-    return rank
+        if modulus is not None:
+            row = [_residue(x, modulus) for x in row]
+        basis.add(row)
+    return len(basis)
 
 
 def grank(m: ParamMatrix, trials: int = 10, seed: int = 0) -> int:

@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polymatrix import ParamMatrix, _residue, grank, rank_exact
+from .polymatrix import Echelon, ParamMatrix, _residue, grank, rank_exact
 from .system import (
     ChannelSubset,
     LinearParamDecomposition,
@@ -317,18 +317,19 @@ def decide_polynomial(
 
 
 def _mat_mul_mod(a, b, p):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for t in range(inner):
-            x = ai[t]
-            if x == 0:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(cols):
-                oi[j] = (oi[j] + x * bt[j]) % p
+    """The product a b of residue matrices mod p, reduced once per output row.
+
+    Each output row accumulates x * (row t of b) over the nonzero entries x
+    of its row of a as plain integers and is reduced mod p at the end.
+    """
+    cols = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        acc = [0] * cols
+        for x, bt in zip(ai, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, bt)]
+        out.append([s % p for s in acc])
     return out
 
 
@@ -364,16 +365,37 @@ def markov_identity(
     return True
 
 
+def _krylov_dim(rows, M, p: int) -> int:
+    """Dimension of the smallest M-invariant row space (over GF(p)) holding ``rows``.
+
+    The span grows step by step: the rows that enlarged the echelon basis
+    are multiplied by M and offered again, and growth stops at the first
+    step that keeps nothing.  The kept rows span a space that holds the
+    starting rows, and M maps every kept row into it (each image was
+    offered and either kept or found in the span), so the space is
+    M-invariant: it is the whole Krylov space.
+    """
+    basis = Echelon(p)
+    while rows:
+        kept = [r for r in rows if basis.add(r)]
+        rows = _mat_mul_mod(kept, M, p) if kept else []
+    return len(basis)
+
+
 def generic_dims(
     sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
 ) -> GenericDims:
     """Generic controllable dimension of (A, B_S) and unobservable of (C_compl, A).
 
-    Both are generic ranks of the stacked reachability/observability
-    matrices, computed by evaluating at random prime-field points (the
-    evaluation of the symbolic Krylov matrix is the Krylov matrix of the
-    evaluations).  Conventions: an empty S gives dimension 0; an empty
-    complement gives unobservable dimension n.
+    Both are generic ranks of the reachability/observability Krylov spaces,
+    computed at random prime-field points (the evaluation of the symbolic
+    Krylov matrix is the Krylov matrix of the evaluations).  At each point
+    the span of B_S's columns (as rows, multiplied by A^T) and of C_compl's
+    rows (multiplied by A) is grown only from the vectors that enlarged it,
+    and stops at the first step that adds none: the span is then
+    A-invariant and holds B_S (respectively C_compl), so it is the whole
+    Krylov space, exactly, over any field.  Conventions: an empty S gives
+    dimension 0; an empty complement gives unobservable dimension n.
     """
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
@@ -385,20 +407,10 @@ def generic_dims(
         values = [rng.randrange(p) for _ in range(sys.q)]
         A = sys.A.evaluate_at(values, p)
         if B_S.cols:
-            blocks = []
-            M = B_S.evaluate_at(values, p)
-            for _ in range(n):
-                blocks.append(M)
-                M = _mat_mul_mod(A, M, p)
-            krylov = [sum((blk[i] for blk in blocks), []) for i in range(n)]
-            best_ctrb = max(best_ctrb, rank_exact(krylov, p))
+            columns = list(zip(*B_S.evaluate_at(values, p)))
+            best_ctrb = max(best_ctrb, _krylov_dim(columns, list(zip(*A)), p))
         if C_compl.rows:
-            rows = []
-            M = C_compl.evaluate_at(values, p)
-            for _ in range(n):
-                rows.extend(M)
-                M = _mat_mul_mod(M, A, p)
-            best_obs = max(best_obs, rank_exact(rows, p))
+            best_obs = max(best_obs, _krylov_dim(C_compl.evaluate_at(values, p), A, p))
         if best_ctrb == n and best_obs == n:
             break
     return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)

@@ -31,7 +31,6 @@ __all__ = [
     "split",
     "feedback_pattern",
     "detect_linear_parameterization",
-    "is_polynomially_parameterized",
     "classify",
 ]
 
@@ -262,27 +261,25 @@ def _rank_one_factor(
 
     g is the first nonzero column scaled so its first nonzero entry is 1;
     h is then the row of scalars reproducing the matrix.  Raises when the
-    matrix has rank two or more.
+    matrix has rank two or more.  Once every stored entry equals g[i] h[j],
+    the nonzero entries all lie in supp(g) x supp(h), so outer(g, h) has
+    no further nonzero entry exactly when they fill that whole rectangle.
     """
     col_star = min(j for (_, j) in d_entries)
     g = [d_entries.get((i, col_star), Fraction(0)) for i in range(rows)]
     i_star = next(i for i, x in enumerate(g) if x != 0)
-    g = [x / g[i_star] for x in g]
+    pivot = g[i_star]
+    g = [x / pivot if x else x for x in g]
     # with g[i_star] = 1, the matching row gives h directly
     h = [d_entries.get((i_star, j), Fraction(0)) for j in range(cols)]
-    for (i, j), value in d_entries.items():
-        if g[i] * h[j] != value:
-            raise NotLinearlyParameterized(
-                f"derivative matrix of parameter p{r + 1} has rank 2 or more",
-                param_index=r,
-            )
-    for i in range(rows):
-        for j in range(cols):
-            if (i, j) not in d_entries and g[i] * h[j] != 0:
-                raise NotLinearlyParameterized(
-                    f"derivative matrix of parameter p{r + 1} has rank 2 or more",
-                    param_index=r,
-                )
+    rectangle = sum(1 for x in g if x) * sum(1 for x in h if x)
+    if len(d_entries) != rectangle or any(
+        g[i] * h[j] != value for (i, j), value in d_entries.items()
+    ):
+        raise NotLinearlyParameterized(
+            f"derivative matrix of parameter p{r + 1} has rank 2 or more",
+            param_index=r,
+        )
     return tuple(g), tuple(h)
 
 
@@ -334,11 +331,6 @@ def detect_linear_parameterization(sys: MultiChannelSystem) -> LinearParamDecomp
         is_binary=is_binary,
         is_unitary=is_unitary,
     )
-
-
-def is_polynomially_parameterized(sys: MultiChannelSystem) -> bool:
-    """True for every well-formed system; the input format only admits polynomials."""
-    return isinstance(sys, MultiChannelSystem)
 
 
 @dataclass(frozen=True)

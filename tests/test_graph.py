@@ -18,7 +18,7 @@ from sfspectrum import (
     similarity_classes,
     state_only_scc_exists,
 )
-from sfspectrum.graph import SystemGraph, strongly_connected_components
+from sfspectrum.graph import CycleSubgraph, SystemGraph, strongly_connected_components
 from sfspectrum.system import all_subsets, split
 from sfspectrum.structural import REASON_GENERIC_RANK
 from sfspectrum.ensembles import random_binary_system
@@ -196,6 +196,35 @@ class TestEnumerate:
         g = build_graph(worked_system)
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_cycle_subgraphs(g, budget=3)
+
+    def test_budget_exhaustion_drops_partial_enumeration(self):
+        # full 5 x 5 A, one parameter per entry: 120 cycle subgraphs, one per
+        # permutation; the budget runs out after some of them are found
+        n = 5
+        A = ParamMatrix(n, n, {(i, j): p(n * i + j) for i in range(n) for j in range(n)}, n * n)
+        full = MultiChannelSystem(
+            n=n,
+            channels=((0, 0),),
+            A=A,
+            B_blocks=(ParamMatrix.zeros(n, 0, n * n),),
+            C_blocks=(ParamMatrix.zeros(0, n, n * n),),
+            q=n * n,
+        )
+        g = build_graph(full)
+        assert len(enumerate_cycle_subgraphs(g)) == 120
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            enumerate_cycle_subgraphs(g, budget=400)
+        frames = []
+        tb = info.value.__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame)
+            tb = tb.tb_next
+        assert any(f.f_code.co_name == "enumerate_cycle_subgraphs" for f in frames)
+        for frame in frames:
+            for value in frame.f_locals.values():
+                assert not (
+                    isinstance(value, list) and value and isinstance(value[0], CycleSubgraph)
+                ), f"frame {frame.f_code.co_name} still holds {len(value)} subgraphs"
 
 
 class TestSimilarityClasses:

@@ -105,6 +105,64 @@ class TestRankExact:
         assert rank_exact([]) == 0
         assert rank_exact([[], []]) == 0
 
+    @pytest.mark.parametrize("modulus", [None, 7, FIELD_PRIME])
+    def test_matches_full_gauss_jordan(self, modulus):
+        rng = random.Random(11 if modulus is None else modulus % 1000)
+        shapes = [(3, 7), (7, 3), (5, 5), (1, 6), (6, 1), (4, 4), (8, 5)]
+        for trial in range(120):
+            rows, cols = shapes[trial % len(shapes)]
+            mat = random_matrix(rng, rows, cols, kind=("wide-tall", "low-rank", "zero-cols")[trial % 3])
+            assert rank_exact(mat, modulus) == rank_gauss_jordan(mat, modulus), mat
+
+    def test_residues_taken_once_from_fractions(self):
+        mat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+        assert rank_exact(mat, FIELD_PRIME) == rank_exact(mat) == 1
+
+
+def random_matrix(rng, rows, cols, kind):
+    """Small-integer / fraction entries; "low-rank" is a product of thin factors,
+    "zero-cols" zeroes about half the columns."""
+    def entry():
+        return rng.choice((0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-5, 3)))
+
+    if kind == "low-rank":
+        inner = rng.randint(0, min(rows, cols))
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                if inner else [Fraction(0)] * cols for row in left]
+    mat = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-cols":
+        dead = {j for j in range(cols) if rng.random() < 0.5}
+        mat = [[0 if j in dead else x for j, x in enumerate(row)] for row in mat]
+    return mat
+
+
+def rank_gauss_jordan(matrix, modulus=None):
+    """Reference: full Gauss-Jordan elimination (every row reduced at every pivot)."""
+    def residue(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+    work = [[Fraction(x) if modulus is None else residue(x) for x in row] for row in matrix]
+    nrows, ncols = len(work), len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col] if modulus is None else pow(work[rank][col], -1, modulus)
+        work[rank] = [x * inv if modulus is None else x * inv % modulus for x in work[rank]]
+        for r in range(nrows):
+            if r != rank and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+                if modulus is not None:
+                    work[r] = [a % modulus for a in work[r]]
+        rank += 1
+    return rank
+
 
 def closed_loop_worked_example() -> ParamMatrix:
     """A + B F C of the worked example over the joint 6-parameter space."""

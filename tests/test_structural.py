@@ -25,11 +25,14 @@ from sfspectrum.structural import (
     REASON_GENERIC_RANK,
     REASON_PENCIL_DROP,
     REASON_PROPER_SUBSPACE,
+    GenericDims,
+    _krylov_dim,
+    _mat_mul_mod,
     char_poly_exact,
     pencil_drop_at_point,
     poly_gcd,
 )
-from sfspectrum.polymatrix import FIELD_PRIME
+from sfspectrum.polymatrix import FIELD_PRIME, rank_exact
 from sfspectrum.system import all_subsets, split
 from sfspectrum.ensembles import random_binary_system
 
@@ -273,6 +276,137 @@ class TestGenericDims:
                         assert by_subset[s.members].unobs_dim <= by_subset[t.members].unobs_dim
 
 
+def _full_krylov_rank(A, B, prime):
+    """Reference: rank of the whole Krylov matrix [B, AB, ..., A^(n-1) B] over GF(prime)."""
+    n = len(A)
+    blocks = []
+    M = B
+    for _ in range(n):
+        blocks.append(M)
+        M = _mat_mul_mod(A, M, prime)
+    return rank_exact([sum((blk[i] for blk in blocks), []) for i in range(n)], prime)
+
+
+def _transpose(M, width):
+    """M^T for a matrix M with ``width`` columns (an empty M gives width empty rows)."""
+    return [list(col) for col in zip(*M)] if M else [[] for _ in range(width)]
+
+
+def _generic_dims_full_krylov(sys_, s, trials=10, seed=0):
+    """Reference: generic_dims with full Krylov matrices and one rank per point."""
+    rng = random.Random(seed)
+    B_S, C_compl = split(sys_, s)
+    n, prime = sys_.n, sys_.prime
+    best_ctrb = best_obs = 0
+    for _ in range(trials):
+        values = [rng.randrange(prime) for _ in range(sys_.q)]
+        A = sys_.A.evaluate_at(values, prime)
+        if B_S.cols:
+            best_ctrb = max(best_ctrb, _full_krylov_rank(A, B_S.evaluate_at(values, prime), prime))
+        if C_compl.rows:
+            C_t = _transpose(C_compl.evaluate_at(values, prime), n)
+            best_obs = max(best_obs, _full_krylov_rank(_transpose(A, n), C_t, prime))
+        if best_ctrb == n and best_obs == n:
+            break
+    return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)
+
+
+def _nilpotent_system() -> MultiChannelSystem:
+    """Strictly upper triangular A; channel 1 drives the last state, channel 2 reads the first."""
+    n = 4
+    q = n * (n - 1) // 2 + 2
+    idx = iter(range(q))
+    A = ParamMatrix.from_rows(
+        [[p(next(idx)) if j > i else 0 for j in range(n)] for i in range(n)], q
+    )
+    return MultiChannelSystem(
+        n=n,
+        channels=((1, 0), (0, 1)),
+        A=A,
+        B_blocks=(ParamMatrix.from_rows([[0], [0], [0], [p(q - 2)]], q), ParamMatrix.zeros(n, 0, q)),
+        C_blocks=(ParamMatrix.zeros(0, n, q), ParamMatrix.from_rows([[p(q - 1), 0, 0, 0]], q)),
+        q=q,
+    )
+
+
+def _invariant_subspace_system() -> MultiChannelSystem:
+    """A = [[A11, A12], [0, A22]] with B only in the top block and C only on the bottom."""
+    n, top = 5, 2
+    cells = [(i, j) for i in range(n) for j in range(n) if not (i >= top and j < top)]
+    q = len(cells) + 3
+    A = ParamMatrix(n, n, {cell: p(r) for r, cell in enumerate(cells)}, q)
+    B = ParamMatrix(n, 2, {(0, 0): p(q - 3), (1, 1): p(q - 2)}, q)
+    C = ParamMatrix(1, n, {(0, 4): p(q - 1)}, q)
+    return MultiChannelSystem(
+        n=n, channels=((2, 1),), A=A, B_blocks=(B,), C_blocks=(C,), q=q
+    )
+
+
+class TestGenericDimsReference:
+    def test_mat_mul_mod_matches_naive_product(self):
+        rng = random.Random(5)
+        for prime in (7, P):
+            for _ in range(30):
+                r, k, c = rng.randint(0, 4), rng.randint(1, 4), rng.randint(1, 4)
+                a = [[rng.choice((0, rng.randrange(prime))) for _ in range(k)] for _ in range(r)]
+                b = [[rng.randrange(prime) for _ in range(c)] for _ in range(k)]
+                naive = [[sum(x * y for x, y in zip(row, col)) % prime for col in zip(*b)]
+                         for row in a]
+                assert _mat_mul_mod(a, b, prime) == naive
+
+    @pytest.mark.parametrize("prime", [2, 5, 7])
+    def test_stall_stop_equals_full_krylov_at_every_point(self, prime):
+        # small fields make degenerate points common: repeated columns,
+        # nilpotent A, B inside an A-invariant subspace, zero B
+        rng = random.Random(prime)
+        kinds = ("random", "nilpotent", "invariant", "zero-b", "sparse")
+        for trial in range(150):
+            kind = kinds[trial % len(kinds)]
+            n, m = rng.randint(1, 6), rng.randint(1, 3)
+            A = [[rng.randrange(prime) for _ in range(n)] for _ in range(n)]
+            B = [[rng.randrange(prime) for _ in range(m)] for _ in range(n)]
+            if kind == "nilpotent":
+                A = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(A)]
+            elif kind == "invariant":
+                top = rng.randint(0, n)
+                A = [[0 if i >= top and j < top else x for j, x in enumerate(row)]
+                     for i, row in enumerate(A)]
+                B = [row if i < top else [0] * m for i, row in enumerate(B)]
+            elif kind == "zero-b":
+                B = [[0] * m for _ in range(n)]
+            elif kind == "sparse":
+                A = [[x if rng.random() < 0.3 else 0 for x in row] for row in A]
+            columns = _transpose(B, m)
+            assert _krylov_dim(columns, _transpose(A, n), prime) == _full_krylov_rank(A, B, prime)
+
+    def test_matches_reference_on_random_ensembles(self):
+        for seed in range(40):
+            sys_ = random_binary_system(seed=seed + 900, max_n=6, max_k=3)
+            for s in all_subsets(sys_.k):
+                for trials in (1, 10):
+                    assert generic_dims(sys_, s, trials=trials, seed=seed) == \
+                        _generic_dims_full_krylov(sys_, s, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize("build", [_nilpotent_system, _invariant_subspace_system])
+    def test_matches_reference_at_non_generic_structures(self, build):
+        sys_ = build()
+        for s in all_subsets(sys_.k):
+            for seed in range(3):
+                assert generic_dims(sys_, s, trials=2, seed=seed) == \
+                    _generic_dims_full_krylov(sys_, s, trials=2, seed=seed)
+
+    def test_non_generic_structures_have_the_expected_dims(self):
+        # nilpotent chain: the last state reaches everything, the first observes all
+        nil = _nilpotent_system()
+        assert generic_dims(nil, ChannelSubset.of(0)) == GenericDims(ctrb_dim=4, unobs_dim=0)
+        assert generic_dims(nil, ChannelSubset(())) == GenericDims(ctrb_dim=0, unobs_dim=0)
+        assert generic_dims(nil, ChannelSubset.of(0, 1)) == GenericDims(ctrb_dim=4, unobs_dim=4)
+        # B inside the invariant top block; C reads the bottom block only
+        inv = _invariant_subspace_system()
+        assert generic_dims(inv, ChannelSubset(())) == GenericDims(ctrb_dim=0, unobs_dim=2)
+        assert generic_dims(inv, ChannelSubset.of(0)) == GenericDims(ctrb_dim=2, unobs_dim=5)
+
+
 class TestDecideLinear:
     def test_worked_example_no_sfs(self, worked_system):
         verdict = decide_linear(worked_system, seed=6)
@@ -449,8 +583,6 @@ class TestStructurallyControllable:
 
     def test_implies_pointwise_controllability_generically(self):
         rng = random.Random(3)
-        from sfspectrum.polymatrix import FIELD_PRIME, rank_exact
-
         found = 0
         for seed in range(40):
             n = rng.randint(1, 3)
@@ -478,13 +610,5 @@ class TestStructurallyControllable:
                 values = [rng.randrange(FIELD_PRIME) for _ in range(q)]
                 An = A.evaluate_at(values, FIELD_PRIME)
                 Bn = B.evaluate_at(values, FIELD_PRIME)
-                from sfspectrum.structural import _mat_mul_mod
-
-                blocks = []
-                M = Bn
-                for _ in range(n):
-                    blocks.append(M)
-                    M = _mat_mul_mod(An, M, FIELD_PRIME)
-                krylov = [sum((blk[i] for blk in blocks), []) for i in range(n)]
-                assert rank_exact(krylov, FIELD_PRIME) == n
+                assert _full_krylov_rank(An, Bn, FIELD_PRIME) == n
         assert found >= 5

@@ -1,6 +1,7 @@
 """Channel stacking, splits, feedback pattern, and parameterization class."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,11 +14,10 @@ from sfspectrum import (
     classify,
     detect_linear_parameterization,
     feedback_pattern,
-    is_polynomially_parameterized,
     split,
     stack,
 )
-from sfspectrum.system import all_subsets, block_matrix, rank_one_terms
+from sfspectrum.system import _rank_one_factor, all_subsets, block_matrix, rank_one_terms
 from sfspectrum.ensembles import random_binary_system
 
 p = ParamPoly.param
@@ -195,6 +195,71 @@ class TestDetectLinear:
         assert not decomp.is_binary and not decomp.is_unitary
 
 
+def rank_one_factor_dense(d_entries, rows, cols, r):
+    """Reference: factor, then compare outer(g, h) with every cell of the matrix."""
+    col_star = min(j for (_, j) in d_entries)
+    g = [d_entries.get((i, col_star), Fraction(0)) for i in range(rows)]
+    i_star = next(i for i, x in enumerate(g) if x != 0)
+    g = [x / g[i_star] for x in g]
+    h = [d_entries.get((i_star, j), Fraction(0)) for j in range(cols)]
+    for i in range(rows):
+        for j in range(cols):
+            if g[i] * h[j] != d_entries.get((i, j), 0):
+                raise NotLinearlyParameterized(
+                    f"derivative matrix of parameter p{r + 1} has rank 2 or more",
+                    param_index=r,
+                )
+    return tuple(g), tuple(h)
+
+
+def random_derivative(rng, rows, cols):
+    """A sparse nonzero derivative pattern: rank one, or rank one disturbed."""
+    values = (1, -1, 2, Fraction(1, 3), Fraction(-7, 2))
+
+    def outer():
+        g = {i: rng.choice(values) for i in rng.sample(range(rows), rng.randint(1, min(3, rows)))}
+        h = {j: rng.choice(values) for j in rng.sample(range(cols), rng.randint(1, min(3, cols)))}
+        return {(i, j): Fraction(x) * y for i, x in g.items() for j, y in h.items()}
+
+    d = outer()
+    kind = rng.choice(("rank-one", "drop", "extra", "rescale", "sum"))
+    cells = sorted(d)
+    if kind == "drop" and len(cells) > 1:
+        del d[rng.choice(cells)]
+    elif kind == "extra":
+        d[(rng.randrange(rows), rng.randrange(cols))] = Fraction(rng.choice(values))
+    elif kind == "rescale":
+        cell = rng.choice(cells)
+        d[cell] *= rng.choice((2, -1, Fraction(1, 2)))
+    elif kind == "sum":
+        for cell, x in outer().items():
+            d[cell] = d.get(cell, 0) + x
+    return {cell: x for cell, x in d.items() if x != 0}
+
+
+class TestRankOneFactorReference:
+    def test_matches_dense_check(self):
+        rng = random.Random(17)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for trial in range(600):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            d = random_derivative(rng, rows, cols)
+            if not d:
+                continue
+            r = trial % 9
+
+            def run(factor):
+                try:
+                    return factor(d, rows, cols, r)
+                except NotLinearlyParameterized as err:
+                    return (err.reason, err.param_index)
+
+            expected = run(rank_one_factor_dense)
+            assert run(_rank_one_factor) == expected, d
+            outcomes["rejected" if isinstance(expected[0], str) else "accepted"] += 1
+        assert min(outcomes.values()) >= 150
+
+
 class TestDecompositionInvariants:
     def test_resummation_reproduces_block_matrix(self):
         for seed in range(25):
@@ -250,9 +315,6 @@ class TestDecompositionInvariants:
         cls = classify(counterexample_system)
         assert cls.polynomial and not cls.linear
         assert cls.decomposition is None
-
-    def test_always_polynomial(self, worked_system):
-        assert is_polynomially_parameterized(worked_system)
 
 
 class TestChannelSubset:
