@@ -290,8 +290,13 @@ def cmd_analyze(
     tol: float = DEFAULT_RANK_TOL,
     budget: int = DEFAULT_BUDGET,
     sample_points: int = 3,
+    dot: str | Path | None = None,
 ) -> tuple[dict, int]:
-    """Classify, run every applicable decision route, and cross-check them."""
+    """Classify, run every applicable decision route, and cross-check them.
+
+    With ``dot`` set, a binary linear system's colored graph is also written
+    there as DOT; other systems have no graph and get no file.
+    """
     system, names = parse_system(path)
     cls = classify(system)
     report: dict = {
@@ -343,6 +348,10 @@ def cmd_analyze(
             }
         )
     report["fixed_spectrum_samples"] = samples
+    if dot is not None and cls.binary:
+        Path(dot).write_text(
+            export_dot(build_graph(system, cls.decomposition)), encoding="utf-8", newline="\n"
+        )
     return report, exit_code
 
 
@@ -538,12 +547,18 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             report, code = cmd_analyze(
-                args.path, seed=args.seed, trials=args.trials, tol=args.tol, budget=args.budget
+                args.path,
+                seed=args.seed,
+                trials=args.trials,
+                tol=args.tol,
+                budget=args.budget,
+                dot=args.dot,
             )
-            if args.dot is not None:
-                system, _ = parse_system(args.path)
-                Path(args.dot).write_text(
-                    export_dot(build_graph(system)), encoding="utf-8", newline="\n"
+            if args.dot is not None and not report["classification"]["binary"]:
+                print(
+                    f"note: no DOT written to {args.dot}: the colored graph needs a "
+                    "binary linear parameterization",
+                    file=_sys.stderr,
                 )
             text = report_json(report) if args.format == "json" else _format_analyze_text(report)
             if args.out:

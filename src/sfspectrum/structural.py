@@ -382,6 +382,18 @@ def _krylov_dim(rows, M, p: int) -> int:
     return len(basis)
 
 
+def _closure(starts, arcs: dict[int, list[int]]) -> set[int]:
+    """The vertices reachable from ``starts`` along ``arcs`` (starts included)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in arcs.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def generic_dims(
     sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
 ) -> GenericDims:
@@ -396,11 +408,28 @@ def generic_dims(
     A-invariant and holds B_S (respectively C_compl), so it is the whole
     Krylov space, exactly, over any field.  Conventions: an empty S gives
     dimension 0; an empty complement gives unobservable dimension n.
+
+    Sampling stops once more points cannot raise either maximum.  Read the
+    stored entries of A as arcs j -> i.  Every column of B_S is supported
+    on the rows where B_S has stored entries, and A maps a vector supported
+    on a vertex set into one supported on its out-neighbours, so at every
+    point, over any field, the controllable Krylov space is supported on
+    the set R reachable from those rows: its dimension is at most |R|.
+    Likewise every row of C_compl A^j is supported on the set O of states
+    from which C_compl's stored columns are reachable.  Once both maxima
+    reach |R| and |O| the answer is that of all ``trials`` points.
     """
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
     n = sys.n
     p = sys.prime
+    forward: dict[int, list[int]] = {}
+    backward: dict[int, list[int]] = {}
+    for (i, j), _ in sys.A.items():
+        forward.setdefault(j, []).append(i)
+        backward.setdefault(i, []).append(j)
+    ctrb_cap = len(_closure({i for (i, _), _ in B_S.items()}, forward))
+    obs_cap = len(_closure({j for (_, j), _ in C_compl.items()}, backward))
     best_ctrb = 0
     best_obs = 0
     for _ in range(trials):
@@ -411,7 +440,7 @@ def generic_dims(
             best_ctrb = max(best_ctrb, _krylov_dim(columns, list(zip(*A)), p))
         if C_compl.rows:
             best_obs = max(best_obs, _krylov_dim(C_compl.evaluate_at(values, p), A, p))
-        if best_ctrb == n and best_obs == n:
+        if best_ctrb == ctrb_cap and best_obs == obs_cap:
             break
     return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)
 

@@ -254,26 +254,35 @@ def block_matrix(sys: MultiChannelSystem) -> ParamMatrix:
     return ParamMatrix.vstack([top, bottom])
 
 
+_ZERO = Fraction(0)  # shared by every off-support position of g and h
+
+
 def _rank_one_factor(
     d_entries: dict[tuple[int, int], Fraction], rows: int, cols: int, r: int
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Factor a rank-one derivative matrix as outer(g, h).
 
-    g is the first nonzero column scaled so its first nonzero entry is 1;
-    h is then the row of scalars reproducing the matrix.  Raises when the
-    matrix has rank two or more.  Once every stored entry equals g[i] h[j],
-    the nonzero entries all lie in supp(g) x supp(h), so outer(g, h) has
-    no further nonzero entry exactly when they fill that whole rectangle.
+    ``d_entries`` holds the nonzero entries only.  g is the first nonzero
+    column scaled so its first nonzero entry is 1; h is then the row of
+    scalars reproducing the matrix.  Both are filled from the stored
+    entries of that column and row.  Raises when the matrix has rank two or
+    more.  Once every stored entry equals g[i] h[j], the nonzero entries
+    all lie in supp(g) x supp(h), so outer(g, h) has no further nonzero
+    entry exactly when they fill that whole rectangle.
     """
     col_star = min(j for (_, j) in d_entries)
-    g = [d_entries.get((i, col_star), Fraction(0)) for i in range(rows)]
-    i_star = next(i for i, x in enumerate(g) if x != 0)
-    pivot = g[i_star]
-    g = [x / pivot if x else x for x in g]
+    column = {i: x for (i, j), x in d_entries.items() if j == col_star}
+    i_star = min(column)
+    pivot = column[i_star]
+    g = [_ZERO] * rows
+    for i, x in column.items():
+        g[i] = x / pivot
     # with g[i_star] = 1, the matching row gives h directly
-    h = [d_entries.get((i_star, j), Fraction(0)) for j in range(cols)]
-    rectangle = sum(1 for x in g if x) * sum(1 for x in h if x)
-    if len(d_entries) != rectangle or any(
+    row = {j: x for (i, j), x in d_entries.items() if i == i_star}
+    h = [_ZERO] * cols
+    for j, x in row.items():
+        h[j] = x
+    if len(d_entries) != len(column) * len(row) or any(
         g[i] * h[j] != value for (i, j), value in d_entries.items()
     ):
         raise NotLinearlyParameterized(

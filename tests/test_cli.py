@@ -280,6 +280,37 @@ class TestMainEntry:
         assert code == EXIT_OK
         assert dot_path.read_text(encoding="utf-8").startswith("digraph")
 
+    def test_analyze_dot_equals_graph_command(self, tmp_path, capsys):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "systems" / "two_channel_shared.json"
+        dot_path = tmp_path / "g.dot"
+        assert main(["analyze", str(demo), "--dot", str(dot_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["graph", str(demo)]) == EXIT_OK
+        assert dot_path.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("block, linear", [("A", False), ("B", True)])
+    def test_analyze_dot_skipped_for_non_binary(self, tmp_path, capsys, block, linear):
+        # coefficient 2 on A's p1 entry breaks p1's rank-one rectangle;
+        # on B's p3 entry it keeps the system linear but not binary
+        doc = _shared_demo_doc()
+        entry = doc["A"][0] if block == "A" else doc["B"][1][0]
+        entry["terms"][0]["coeff"] = "2"
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        dot_path, out = tmp_path / "g.dot", tmp_path / "report.json"
+        code = main(["analyze", str(path), "--format", "json", "--dot", str(dot_path),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        report = json.loads(captured.out)
+        assert report["classification"]["linear"] is linear
+        assert not report["classification"]["binary"]
+        assert out.read_text(encoding="utf-8") == captured.out
+        assert not dot_path.exists()
+        assert "no DOT written" in captured.err and captured.err.count("\n") == 1
+        assert main(["analyze", str(path), "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == captured.out
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code = main(["analyze", str(tmp_path / "absent.json")])
         assert code == EXIT_USAGE

@@ -293,7 +293,7 @@ def _transpose(M, width):
 
 
 def _generic_dims_full_krylov(sys_, s, trials=10, seed=0):
-    """Reference: generic_dims with full Krylov matrices and one rank per point."""
+    """Reference: full Krylov matrices, one rank per point, every one of ``trials`` points."""
     rng = random.Random(seed)
     B_S, C_compl = split(sys_, s)
     n, prime = sys_.n, sys_.prime
@@ -306,8 +306,6 @@ def _generic_dims_full_krylov(sys_, s, trials=10, seed=0):
         if C_compl.rows:
             C_t = _transpose(C_compl.evaluate_at(values, prime), n)
             best_obs = max(best_obs, _full_krylov_rank(_transpose(A, n), C_t, prime))
-        if best_ctrb == n and best_obs == n:
-            break
     return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)
 
 
@@ -340,6 +338,54 @@ def _invariant_subspace_system() -> MultiChannelSystem:
     return MultiChannelSystem(
         n=n, channels=((2, 1),), A=A, B_blocks=(B,), C_blocks=(C,), q=q
     )
+
+
+def _repeated_column_system() -> MultiChannelSystem:
+    """A = 0; B's two columns (and C's two rows) carry the same parameters.
+
+    Both states are reachable and both observe, so both caps are 2, but the
+    Krylov spaces are the spans of one column and one row: dimension 1.
+    """
+    return MultiChannelSystem(
+        n=2,
+        channels=((2, 0), (0, 2)),
+        A=ParamMatrix.zeros(2, 2, 4),
+        B_blocks=(ParamMatrix.from_rows([[p(0), p(0)], [p(1), p(1)]], 4),
+                  ParamMatrix.zeros(2, 0, 4)),
+        C_blocks=(ParamMatrix.zeros(0, 2, 4),
+                  ParamMatrix.from_rows([[p(2), p(3)], [p(2), p(3)]], 4)),
+        q=4,
+    )
+
+
+def _rank_one_term_system(b_state=0, c_states=(1, 2)) -> MultiChannelSystem:
+    """p1 drives states 2 and 3 from state 1 through one rank-one term.
+
+    By default all three states are reachable from the input at state 1,
+    but A e1 = p1 (e2 + e3) and A maps e2 + e3 to 0, so the controllable
+    space is span(e1, e2 + e3): dimension 2 below the cap 3.  The output
+    reads states 2 and 3 through one shared parameter, so the observable
+    space is span(e2 + e3, e1): dimension 2 below the cap 3 as well.  An
+    input at state 2 (cap 1) or an output of state 2 alone (cap 2) meets
+    its cap instead.
+    """
+    return MultiChannelSystem(
+        n=3,
+        channels=((1, 0), (0, 1)),
+        A=ParamMatrix(3, 3, {(1, 0): p(0), (2, 0): p(0)}, 3),
+        B_blocks=(ParamMatrix(3, 1, {(b_state, 0): p(1)}, 3), ParamMatrix.zeros(3, 0, 3)),
+        C_blocks=(ParamMatrix.zeros(0, 3, 3),
+                  ParamMatrix(1, 3, {(0, j): p(2) for j in c_states}, 3)),
+        q=3,
+    )
+
+
+def _ctrb_cap_met_system() -> MultiChannelSystem:
+    return _rank_one_term_system(b_state=1)
+
+
+def _obs_cap_met_system() -> MultiChannelSystem:
+    return _rank_one_term_system(c_states=(1,))
 
 
 class TestGenericDimsReference:
@@ -387,7 +433,12 @@ class TestGenericDimsReference:
                     assert generic_dims(sys_, s, trials=trials, seed=seed) == \
                         _generic_dims_full_krylov(sys_, s, trials=trials, seed=seed)
 
-    @pytest.mark.parametrize("build", [_nilpotent_system, _invariant_subspace_system])
+    @pytest.mark.parametrize("build", [
+        _nilpotent_system, _invariant_subspace_system,
+        # generic dimensions below the reachability cap: every trial runs
+        _repeated_column_system, _rank_one_term_system,
+        _ctrb_cap_met_system, _obs_cap_met_system,
+    ])
     def test_matches_reference_at_non_generic_structures(self, build):
         sys_ = build()
         for s in all_subsets(sys_.k):
@@ -405,6 +456,138 @@ class TestGenericDimsReference:
         inv = _invariant_subspace_system()
         assert generic_dims(inv, ChannelSubset(())) == GenericDims(ctrb_dim=0, unobs_dim=2)
         assert generic_dims(inv, ChannelSubset.of(0)) == GenericDims(ctrb_dim=2, unobs_dim=5)
+
+
+# -- the structural cap on the Krylov dimensions -------------------------------
+
+
+def _pattern_closure(A_pattern, start):
+    """Reference: support of sum_j pattern(A)^j start, by boolean matrix powers."""
+    n = len(A_pattern)
+    reached = set(start)
+    frontier = set(start)
+    for _ in range(n):
+        frontier = {i for i in range(n) for j in frontier if A_pattern[i][j]} - reached
+        reached |= frontier
+    return reached
+
+
+def _caps(sys_, s):
+    """(|R|, |O|): states reachable from B_S's rows, states reaching C_compl's columns."""
+    B_S, C_compl = split(sys_, s)
+    n = sys_.n
+    pattern = [[not sys_.A.entry(i, j).is_zero for j in range(n)] for i in range(n)]
+    transposed = [list(col) for col in zip(*pattern)]
+    rows = {i for (i, _), _ in B_S.items()}
+    cols = {j for (_, j), _ in C_compl.items()}
+    return len(_pattern_closure(pattern, rows)), len(_pattern_closure(transposed, cols))
+
+
+def _sparse_system(rng, nilpotent=False) -> MultiChannelSystem:
+    """Two channels, a sparse A with one fresh parameter per nonzero, sparse B and C."""
+    n = rng.randint(2, 7)
+    channels = ((rng.randint(0, 2), rng.randint(0, 2)), (rng.randint(0, 2), rng.randint(0, 2)))
+    counter = iter(range(10**6))
+
+    def sparse(rows, cols, density, keep=lambda i, j: True):
+        return {(i, j): p(next(counter)) for i in range(rows) for j in range(cols)
+                if keep(i, j) and rng.random() < density}
+
+    A = sparse(n, n, 0.25, lambda i, j: j > i or not nilpotent)
+    Bs = [sparse(n, m_i, 0.3) for m_i, _ in channels]
+    Cs = [sparse(l_i, n, 0.3) for _, l_i in channels]
+    q = next(counter)
+    return MultiChannelSystem(
+        n=n,
+        channels=channels,
+        A=ParamMatrix(n, n, A, q),
+        B_blocks=tuple(ParamMatrix(n, m_i, B, q) for (m_i, _), B in zip(channels, Bs)),
+        C_blocks=tuple(ParamMatrix(l_i, n, C, q) for (_, l_i), C in zip(channels, Cs)),
+        q=q,
+    )
+
+
+def _points_per_call(monkeypatch, sys_, s, trials):
+    """Number of sample points one generic_dims call evaluates (one A per point)."""
+    points = []
+    original = ParamMatrix.evaluate_at
+
+    def counting(self, values, modulus=None):
+        if self is sys_.A:
+            points.append(tuple(values))
+        return original(self, values, modulus)
+
+    monkeypatch.setattr(ParamMatrix, "evaluate_at", counting)
+    dims = generic_dims(sys_, s, trials=trials, seed=11)
+    monkeypatch.undo()
+    return dims, len(points)
+
+
+class TestKrylovCap:
+    @pytest.mark.parametrize("prime", [2, 7, P])
+    def test_cap_bounds_krylov_dims_at_every_point(self, prime):
+        rng = random.Random(prime)
+        for trial in range(60):
+            sys_ = _sparse_system(rng, nilpotent=trial % 3 == 0)
+            for s in all_subsets(sys_.k):
+                ctrb_cap, obs_cap = _caps(sys_, s)
+                B_S, C_compl = split(sys_, s)
+                n = sys_.n
+                for kind in ("random", "zero", "ones"):
+                    values = {"random": [rng.randrange(prime) for _ in range(sys_.q)],
+                              "zero": [0] * sys_.q, "ones": [1] * sys_.q}[kind]
+                    A = sys_.A.evaluate_at(values, prime)
+                    columns = _transpose(B_S.evaluate_at(values, prime), B_S.cols)
+                    rows = C_compl.evaluate_at(values, prime)
+                    assert _krylov_dim(columns, _transpose(A, n), prime) <= ctrb_cap
+                    assert _krylov_dim(rows, A, prime) <= obs_cap
+
+    def test_capped_equals_all_trials_on_sparse_systems(self):
+        rng = random.Random(8)
+        for trial in range(40):
+            sys_ = _sparse_system(rng, nilpotent=trial % 4 == 0)
+            for s in all_subsets(sys_.k):
+                assert generic_dims(sys_, s, trials=4, seed=trial) == \
+                    _generic_dims_full_krylov(sys_, s, trials=4, seed=trial)
+
+    def test_below_cap_dims(self):
+        rep = _repeated_column_system()
+        assert _caps(rep, ChannelSubset.of(0)) == (2, 2)
+        assert generic_dims(rep, ChannelSubset.of(0)) == GenericDims(ctrb_dim=1, unobs_dim=1)
+        one = _rank_one_term_system()
+        assert _caps(one, ChannelSubset.of(0)) == (3, 3)
+        assert generic_dims(one, ChannelSubset.of(0)) == GenericDims(ctrb_dim=2, unobs_dim=1)
+        ctrb_met = _ctrb_cap_met_system()
+        assert _caps(ctrb_met, ChannelSubset.of(0)) == (1, 3)
+        assert generic_dims(ctrb_met, ChannelSubset.of(0)) == GenericDims(ctrb_dim=1, unobs_dim=1)
+        obs_met = _obs_cap_met_system()
+        assert _caps(obs_met, ChannelSubset.of(0)) == (3, 2)
+        assert generic_dims(obs_met, ChannelSubset.of(0)) == GenericDims(ctrb_dim=2, unobs_dim=1)
+
+    def test_one_point_when_the_cap_is_met(self, monkeypatch):
+        # nilpotent chain: channel 1 reaches all four states, channel 2 observes all
+        nil = _nilpotent_system()
+        for s in all_subsets(nil.k):
+            dims, points = _points_per_call(monkeypatch, nil, s, trials=7)
+            ctrb_cap, obs_cap = _caps(nil, s)
+            assert (dims.ctrb_dim, nil.n - dims.unobs_dim) == (ctrb_cap, obs_cap)
+            assert points == 1, s
+        # a reachable proper subset: the cap is below n and still stops at once
+        inv = _invariant_subspace_system()
+        dims, points = _points_per_call(monkeypatch, inv, ChannelSubset(()), trials=7)
+        assert _caps(inv, ChannelSubset(())) == (0, 3)
+        assert dims == GenericDims(ctrb_dim=0, unobs_dim=2) and points == 1
+
+    @pytest.mark.parametrize("build", [_repeated_column_system, _rank_one_term_system,
+                                       _ctrb_cap_met_system, _obs_cap_met_system])
+    def test_every_point_when_the_cap_is_not_met(self, monkeypatch, build):
+        # one span below its cap keeps the sampling going, whatever the other does
+        sys_ = build()
+        s = ChannelSubset.of(0)
+        dims, points = _points_per_call(monkeypatch, sys_, s, trials=7)
+        assert (dims.ctrb_dim, sys_.n - dims.unobs_dim) != _caps(sys_, s)
+        assert dims == _generic_dims_full_krylov(sys_, s, trials=7, seed=11)
+        assert points == 7
 
 
 class TestDecideLinear:

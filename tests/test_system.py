@@ -212,6 +212,25 @@ def rank_one_factor_dense(d_entries, rows, cols, r):
     return tuple(g), tuple(h)
 
 
+def rank_one_factor_dense_built(d_entries, rows, cols, r):
+    """Reference: g and h built position by position, support sizes counted on them."""
+    col_star = min(j for (_, j) in d_entries)
+    g = [d_entries.get((i, col_star), Fraction(0)) for i in range(rows)]
+    i_star = next(i for i, x in enumerate(g) if x != 0)
+    pivot = g[i_star]
+    g = [x / pivot if x else x for x in g]
+    h = [d_entries.get((i_star, j), Fraction(0)) for j in range(cols)]
+    rectangle = sum(1 for x in g if x) * sum(1 for x in h if x)
+    if len(d_entries) != rectangle or any(
+        g[i] * h[j] != value for (i, j), value in d_entries.items()
+    ):
+        raise NotLinearlyParameterized(
+            f"derivative matrix of parameter p{r + 1} has rank 2 or more",
+            param_index=r,
+        )
+    return tuple(g), tuple(h)
+
+
 def random_derivative(rng, rows, cols):
     """A sparse nonzero derivative pattern: rank one, or rank one disturbed."""
     values = (1, -1, 2, Fraction(1, 3), Fraction(-7, 2))
@@ -250,11 +269,14 @@ class TestRankOneFactorReference:
 
             def run(factor):
                 try:
-                    return factor(d, rows, cols, r)
+                    g, h = factor(d, rows, cols, r)
                 except NotLinearlyParameterized as err:
-                    return (err.reason, err.param_index)
+                    return (str(err), err.reason, err.param_index)
+                assert all(type(x) is Fraction for x in g + h)
+                return g, h
 
             expected = run(rank_one_factor_dense)
+            assert run(rank_one_factor_dense_built) == expected, d
             assert run(_rank_one_factor) == expected, d
             outcomes["rejected" if isinstance(expected[0], str) else "accepted"] += 1
         assert min(outcomes.values()) >= 150
