@@ -4,7 +4,7 @@ System files are JSON with exact rational coefficients ("num" or "num/den"
 strings, no decimals).  Reports are JSON with a stable field layout, byte
 identical for identical inputs and settings.  Exit codes: 0 success or
 agreement, 1 usage/parse error, 2 analysis inconsistency, 3 enumeration
-budget exhausted.
+budget exhausted (``analyze`` still emits its report).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONSISTENT = 2
 EXIT_BUDGET = 3
+REASON_BUDGET_EXHAUSTED = "budget-exhausted"
 
 _COEFF_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -294,6 +295,9 @@ def cmd_analyze(
 ) -> tuple[dict, int]:
     """Classify, run every applicable decision route, and cross-check them.
 
+    When the graphical route exhausts ``budget``, its verdict is reported as
+    undecided (``has_sfs`` null, reason ``budget-exhausted``), stays out of
+    the cross-check, and the exit code is 3 unless the other routes disagree.
     With ``dot`` set, a binary linear system's colored graph is also written
     there as DOT; other systems have no graph and get no file.
     """
@@ -320,9 +324,20 @@ def cmd_analyze(
         verdicts["algebraic"] = _verdict_doc(v2)
         computed.append(v2.has_sfs)
     if cls.binary:
-        v3 = decide_graphical(system, cls.decomposition, budget=budget)
-        verdicts["graphical"] = _verdict_doc(v3)
-        computed.append(v3.has_sfs)
+        try:
+            v3 = decide_graphical(system, cls.decomposition, budget=budget)
+        except EnumerationBudgetExceeded:
+            verdicts["graphical"] = {
+                "has_sfs": None,
+                "route": "graphical",
+                "reason": REASON_BUDGET_EXHAUSTED,
+                "witness": None,
+                "diagnostics": {"budget": budget, "steps": budget},
+            }
+            exit_code = EXIT_BUDGET
+        else:
+            verdicts["graphical"] = _verdict_doc(v3)
+            computed.append(v3.has_sfs)
     report["verdicts"] = verdicts
     agree = len(set(computed)) == 1
     report["consistency"] = {

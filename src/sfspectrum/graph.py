@@ -3,17 +3,20 @@
 Vertices are the states, stacked inputs, and stacked outputs; every
 (entry, parameter) incidence of A, B, C contributes one arc colored by its
 parameter, and the feedback pattern contributes output-to-input arcs in
-fresh colors.  The graphical decision rests on two computations: exact
-enumeration of the multi-colored cycle subgraphs (vertex-disjoint cycle
-unions covering every state vertex with pairwise distinct arc colors),
-whose per-color-set parity balance mirrors the closed-loop generic rank,
-and a strongly-connected-component check for a component made of state
-vertices only, which certifies the block-triangular decoupling witness.
+fresh colors.  The graphical decision rests on two questions.  Is some
+similarity class of multi-colored cycle subgraphs (vertex-disjoint cycle
+unions covering every state vertex with pairwise distinct arc colors)
+unbalanced in cycle-count parity?  That mirrors the closed-loop generic
+rank; a bipartite cycle-cover matching answers it when no cover exists and
+for unitary systems, and a lazy class search answers it for the others.
+Is there a strongly connected component made of state vertices only?  That
+certifies the block-triangular decoupling witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 from .structural import (
     REASON_GENERIC_RANK,
@@ -293,69 +296,170 @@ class CycleSubgraph:
         return frozenset(arc.src for cycle in self.cycles for arc in cycle)
 
 
-def enumerate_cycle_subgraphs(
-    g: SystemGraph, budget: int = DEFAULT_BUDGET
-) -> list[CycleSubgraph]:
-    """Exact backtracking enumeration of all multi-colored cycle subgraphs.
+class _Steps:
+    """Enumeration steps used so far against one budget.
+
+    The graphical decision shares one counter between its outer search and
+    every restricted enumeration it starts, so they spend a single budget.
+    """
+
+    __slots__ = ("budget", "used")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.used = 0
+
+    def take(self) -> None:
+        self.used += 1
+        if self.used > self.budget:
+            raise EnumerationBudgetExceeded(self.budget)
+
+
+def _matching(
+    g: SystemGraph,
+    arcs_from: dict[int, tuple[Arc, ...]],
+    tails: list[int],
+    heads: set[int],
+    banned: set[int],
+    steps: _Steps | None = None,
+) -> dict[int, tuple[int, Arc | None]] | None:
+    """Perfect matching of ``tails`` to ``heads`` along arcs of unbanned colors.
+
+    An input or output vertex that is both a tail and a head may match itself
+    (it then lies on no cycle).  Kuhn's augmenting paths, tails in the given
+    order, arcs in sorted order.  Returns head -> (tail, arc or None for a
+    self-match), or None when no perfect matching exists.  With ``steps``,
+    every arc examined takes one step.
+    """
+    owner: dict[int, tuple[int, Arc | None]] = {}
+
+    def augment(tail: int, seen: set[int]) -> bool:
+        if tail in heads and not g.is_state(tail) and tail not in seen:
+            seen.add(tail)
+            if tail not in owner or augment(owner[tail][0], seen):
+                owner[tail] = (tail, None)
+                return True
+        for arc in arcs_from.get(tail, ()):
+            if steps is not None:
+                steps.take()
+            head = arc.dst
+            if head in seen or head not in heads or arc.color in banned:
+                continue
+            seen.add(head)
+            if head not in owner or augment(owner[head][0], seen):
+                owner[head] = (tail, arc)
+                return True
+        return False
+
+    for tail in tails:
+        if not augment(tail, set()):
+            return None
+    return owner
+
+
+def _cycle_subgraphs(
+    g: SystemGraph, steps: _Steps, prune: bool = False
+) -> Iterator[CycleSubgraph]:
+    """Backtracking over the multi-colored cycle subgraphs, depth first.
 
     State vertices are covered in increasing order, so every subgraph is
     produced exactly once in canonical form.  Cycles may route through input
-    and output vertices; only state coverage is mandatory.  Raises
-    EnumerationBudgetExceeded rather than returning a partial answer.
+    and output vertices; only state coverage is mandatory.  Every arc tried
+    takes one step; the step past the budget raises EnumerationBudgetExceeded.
+
+    With ``prune``, a path from v0 to the current vertex is extended only
+    while a matching can still close it and cover the remaining states with
+    unused colors (colors may repeat in the matching, so this is a necessary
+    condition).  A pruned branch holds no subgraph, so the order is unchanged.
     """
     arcs_from = g.arcs_from()
-    results: list[CycleSubgraph] = []
+    vertices = set(range(g.vertex_count))
     used_vertices: set[int] = set()
     used_colors: set[int] = set()
-    cycles: list[tuple[Arc, ...]] = []
-    steps = 0
+    cycles: list[tuple[Arc, ...]] = []  # closed cycles, in the order closed
+    frames: list[Iterator[Arc]] = []  # untried arcs out of each open path vertex
+    # the open cycle starts at v0 and runs along path; levels keeps the open
+    # cycle each closed cycle interrupted, to resume it when that one reopens
+    levels: list[tuple[int, list[Arc], set[int], set[int]]] = []
 
-    def search() -> None:
-        v0 = next((v for v in range(g.n) if v not in used_vertices), None)
-        if v0 is None:
-            results.append(CycleSubgraph(cycles=tuple(cycles)))
-            return
-        path: list[Arc] = []
-        on_path: set[int] = {v0}
-        path_colors: set[int] = set()
+    def first_uncovered() -> int | None:
+        return next((v for v in range(g.n) if v not in used_vertices), None)
 
-        def extend(current: int) -> None:
-            nonlocal steps
-            for arc in arcs_from.get(current, ()):
-                steps += 1
-                if steps > budget:
-                    raise EnumerationBudgetExceeded(budget)
-                if arc.color in used_colors or arc.color in path_colors:
-                    continue
-                if arc.dst == v0:
-                    cycle = tuple(path) + (arc,)
-                    verts = frozenset(on_path)
-                    colors = path_colors | {arc.color}
-                    used_vertices.update(verts)
-                    used_colors.update(colors)
-                    cycles.append(cycle)
-                    search()
+    def arcs_out(
+        current: int, v0: int, on_path: set[int], path_colors: set[int]
+    ) -> Iterator[Arc]:
+        if prune:
+            free = vertices - used_vertices - on_path
+            tails = [current, *sorted(free)]
+            banned = used_colors | path_colors
+            if _matching(g, arcs_from, tails, free | {v0}, banned, steps) is None:
+                return iter(())
+        return iter(arcs_from.get(current, ()))
+
+    v0 = first_uncovered()
+    if v0 is None:
+        yield CycleSubgraph(cycles=())
+        return
+    path: list[Arc] = []
+    on_path: set[int] = {v0}
+    path_colors: set[int] = set()
+    frames.append(arcs_out(v0, v0, on_path, path_colors))
+    while frames:
+        for arc in frames[-1]:
+            steps.take()
+            if arc.color in used_colors or arc.color in path_colors:
+                continue
+            if arc.dst == v0:
+                cycle = (*path, arc)
+                cycles.append(cycle)
+                used_vertices.update(on_path)
+                used_colors.update(path_colors)
+                used_colors.add(arc.color)
+                nxt = first_uncovered()
+                if nxt is None:
+                    yield CycleSubgraph(cycles=tuple(cycles))
                     cycles.pop()
-                    used_colors.difference_update(colors)
-                    used_vertices.difference_update(verts)
-                elif arc.dst not in used_vertices and arc.dst not in on_path:
-                    path.append(arc)
-                    on_path.add(arc.dst)
-                    path_colors.add(arc.color)
-                    extend(arc.dst)
-                    path_colors.discard(arc.color)
-                    on_path.discard(arc.dst)
-                    path.pop()
+                    used_vertices.difference_update(on_path)
+                    used_colors.difference_update(a.color for a in cycle)
+                    continue
+                levels.append((v0, path, on_path, path_colors))
+                v0, path, on_path, path_colors = nxt, [], {nxt}, set()
+                frames.append(arcs_out(v0, v0, on_path, path_colors))
+                break
+            if arc.dst not in used_vertices and arc.dst not in on_path:
+                path.append(arc)
+                on_path.add(arc.dst)
+                path_colors.add(arc.color)
+                frames.append(arcs_out(arc.dst, v0, on_path, path_colors))
+                break
+        else:  # every arc out of the path's last vertex is tried: step back
+            frames.pop()
+            if path:
+                last = path.pop()
+                on_path.discard(last.dst)
+                path_colors.discard(last.color)
+            elif levels:  # back at v0: reopen the cycle closed below this one
+                v0, path, on_path, path_colors = levels.pop()
+                cycle = cycles.pop()
+                used_vertices.difference_update(on_path)
+                used_colors.difference_update(a.color for a in cycle)
 
-        extend(v0)
 
-    try:
-        search()
-    except EnumerationBudgetExceeded:
-        # the traceback keeps these frames alive; drop the partial answer
-        results.clear()
-        raise
-    return sorted(results, key=lambda sub: sub.cycles)
+def enumerate_cycle_subgraphs(
+    g: SystemGraph, budget: int = DEFAULT_BUDGET, *, _steps: _Steps | None = None
+) -> list[CycleSubgraph]:
+    """Exact backtracking enumeration of all multi-colored cycle subgraphs.
+
+    Each subgraph appears once, in canonical form (see ``_cycle_subgraphs``);
+    the list is sorted by cycles.  Raises EnumerationBudgetExceeded rather
+    than returning a partial answer.  ``_steps``, the graphical decision's
+    shared counter, replaces ``budget``.
+    """
+    if _steps is None:
+        _steps = _Steps(budget)
+    # list() holds the partial answer in no frame the traceback keeps alive
+    subs = list(_cycle_subgraphs(g, _steps))
+    return sorted(subs, key=lambda sub: sub.cycles)
 
 
 @dataclass(frozen=True)
@@ -434,6 +538,51 @@ def _decoupling_witness(g: SystemGraph) -> tuple[ChannelSubset, dict]:
     return witness, partition
 
 
+def _cycle_cover(g: SystemGraph) -> tuple[Arc, ...] | None:
+    """Arcs of a cycle cover of the state vertices, or None if none exists.
+
+    A perfect matching of arc tails to arc heads over all vertices; the
+    matched arcs form vertex-disjoint cycles through every state vertex.
+    Arc colors may repeat, so a cover is a multi-colored cycle subgraph only
+    when every arc has its own color.
+    """
+    vertices = list(range(g.vertex_count))
+    owner = _matching(g, g.arcs_from(), vertices, set(vertices), set())
+    if owner is None:
+        return None
+    return tuple(sorted(arc for _, arc in owner.values() if arc is not None))
+
+
+def _first_unbalanced_class(
+    g: SystemGraph, steps: _Steps
+) -> tuple[SimilarityClass | None, int | None, int | None]:
+    """Search the similarity classes lazily; stop at the first unbalanced one.
+
+    The outer search is pruned (see ``_cycle_subgraphs``).  For each
+    subgraph whose color set C lies in no color set handled before,
+    enumerate the graph restricted to C's colors: that tallies every class
+    C' of C completely.  Returns (unbalanced class, None, None) on a find,
+    else (None, subgraph count, class count) after the outer search has seen
+    every subgraph and every class proved balanced.
+    """
+    handled: list[frozenset[int]] = []
+    count = 0
+    color_sets: set[frozenset[int]] = set()
+    for sub in _cycle_subgraphs(g, steps, prune=True):
+        count += 1
+        colors = sub.color_set
+        color_sets.add(colors)
+        if any(colors <= done for done in handled):
+            continue
+        handled.append(colors)
+        restricted = replace(g, arcs=tuple(a for a in g.arcs if a.color in colors))
+        classes = similarity_classes(enumerate_cycle_subgraphs(restricted, _steps=steps))
+        found = next((c for c in classes if not c.balanced), None)
+        if found is not None:
+            return found, None, None
+    return None, count, len(color_sets)
+
+
 def decide_graphical(
     sys: MultiChannelSystem,
     decomp: LinearParamDecomposition | None = None,
@@ -447,14 +596,32 @@ def decide_graphical(
     closed-loop generic rank falls short of n) or has a strongly connected
     component of state vertices only (a block-triangular decoupling exists,
     reconstructed and reported as witness).
+
+    A bipartite matching decides first: without a cycle cover there is no
+    cycle subgraph at all, and in a unitary system every arc has its own
+    color, so each class has one member and a cover is an unbalanced class.
+    Other binary systems search the classes lazily and stop at the first
+    unbalanced one; ``budget`` bounds the steps of all their searches.
     """
+    if decomp is None:
+        decomp = detect_linear_parameterization(sys)
     g = build_graph(sys, decomp, fp)
-    subs = enumerate_cycle_subgraphs(g, budget=budget)
-    classes = similarity_classes(subs)
-    unbalanced = [sorted(c.color_set) for c in classes if not c.balanced]
+    steps = _Steps(budget)
+    subgraph_count = class_count = None
+    cover = _cycle_cover(g)
+    if cover is None:
+        method, unbalanced = "matching", []
+    elif decomp.is_unitary:
+        method, unbalanced = "matching", [sorted({arc.color for arc in cover})]
+    else:
+        method = "enumeration"
+        found, subgraph_count, class_count = _first_unbalanced_class(g, steps)
+        unbalanced = [] if found is None else [sorted(found.color_set)]
     diagnostics: dict = {
-        "subgraph_count": len(subs),
-        "class_count": len(classes),
+        "method": method,
+        "steps": steps.used,
+        "subgraph_count": subgraph_count,
+        "class_count": class_count,
         "unbalanced_classes": unbalanced,
         "budget": budget,
     }

@@ -319,6 +319,35 @@ class TestMainEntry:
         code = main(["crosscheck", str(worked_file), "--budget", "2"])
         assert code == EXIT_BUDGET
 
+    def test_analyze_keeps_its_report_when_the_graph_budget_runs_out(self, tmp_path, capsys):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "systems" / "two_channel_shared.json"
+        out = tmp_path / "report.json"
+        code = main(["analyze", str(demo), "--budget", "1", "--format", "json", "--out", str(out)])
+        captured = capsys.readouterr().out
+        assert code == EXIT_BUDGET
+        report = json.loads(captured)
+        assert out.read_text(encoding="utf-8") == captured
+        verdicts = report["verdicts"]
+        assert verdicts["graphical"] == {
+            "has_sfs": None,
+            "route": "graphical",
+            "reason": "budget-exhausted",
+            "witness": None,
+            "diagnostics": {"budget": 1, "steps": 1},
+        }
+        assert verdicts["pencil_sampling"]["has_sfs"] is False
+        assert verdicts["algebraic"]["has_sfs"] is False
+        assert report["consistency"] == {"agree": True, "has_sfs_values": [False, False]}
+        # the exact verdicts are those of a run with the default budget
+        assert main(["analyze", str(demo), "--format", "json"]) == EXIT_OK
+        full = json.loads(capsys.readouterr().out)
+        for key in ("pencil_sampling", "algebraic"):
+            assert full["verdicts"][key] == verdicts[key]
+        assert main(["analyze", str(demo), "--budget", "1"]) == EXIT_BUDGET
+        assert "graphical: structurally fixed spectrum = None (budget-exhausted)" in (
+            capsys.readouterr().out
+        )
+
     def test_fixed_modes_flags(self, worked_file, capsys):
         code = main(
             ["fixed-modes", str(worked_file), "--samples", "50"]

@@ -60,7 +60,7 @@ def _ensemble(seed):
 CASES = {
     "demo-two-channel-shared": (
         "two_channel_shared.json", 3,
-        "75a1f9468ada4303eaafdae89820981a1b6c2e418a8632a8aa09442d7998dcb6",
+        "a26ea17642b5d5c1a4a8ef23b548f39cb5be8703cb81587e94d90301a67f93d2",
     ),
     "demo-chain-fixed-mode": (
         "chain_fixed_mode.json", 0,
@@ -68,23 +68,23 @@ CASES = {
     ),
     "ensemble-5": (
         _ensemble(5), 5,
-        "625c65f59ba8173c27f70c30b77753a4b6fc515f8cc33f1f55fcbb6b8f8a20e2",
+        "9bf08879d45f638fc405568567091911d0ceb785543e5440833b548f219cd453",
     ),
     "ensemble-11": (
         _ensemble(11), 11,
-        "007c18aadac94c8c189968a0694e1b6ef86eb82930d4a12d0c0401186195b210",
+        "31c8a6accc46298c7f0e31138e190306ef27e0318e1863ee4fd85cce45f4fe9c",
     ),
     "ensemble-16": (
         _ensemble(16), 16,
-        "1d605cbd08adaf4e819024309a8e161c87320520f66eb37f6f36688d0340d21e",
+        "855818e60bcd59430e77ae9e44f8488840111a0dddbae04e163263989992538c",
     ),
     "ensemble-20": (
         _ensemble(20), 20,
-        "70e6fbfaea2549afad744f93970ee2904cb4a3cfac9b1f32e599406f0f49435c",
+        "22cb2988c81b92f6f7532ce68ec401d60b8a87e0c506e1f102b71c09078685d5",
     ),
     "ensemble-29": (
         _ensemble(29), 29,
-        "c23d73499297836fdb5fbbc5959f1579ba16270e3acae2752fd79d1e3105e7e4",
+        "6e8f1da313465f51cf3292980945399078828abc4e773f15f3739ff420c007f0",
     ),
     "repeated-diagonal": (
         repeated_diagonal_counterexample, 2,

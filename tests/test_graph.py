@@ -1,6 +1,8 @@
 """Colored graph construction, SCCs, cycle subgraphs, and the graphical route."""
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,14 +15,28 @@ from sfspectrum import (
     build_graph,
     closed_loop_generic_rank,
     decide_graphical,
+    decide_linear,
     enumerate_cycle_subgraphs,
     export_dot,
     similarity_classes,
     state_only_scc_exists,
 )
-from sfspectrum.graph import CycleSubgraph, SystemGraph, strongly_connected_components
+from sfspectrum.graph import (
+    CycleSubgraph,
+    SystemGraph,
+    _cycle_cover,
+    _cycle_subgraphs,
+    _decoupling_witness,
+    _first_unbalanced_class,
+    _Steps,
+    strongly_connected_components,
+)
 from sfspectrum.system import all_subsets, split
-from sfspectrum.structural import REASON_GENERIC_RANK
+from sfspectrum.structural import (
+    REASON_GENERIC_RANK,
+    REASON_PROPER_SUBSPACE,
+    StructuralVerdict,
+)
 from sfspectrum.ensembles import random_binary_system
 
 p = ParamPoly.param
@@ -37,6 +53,136 @@ def diagonal_states_only(n: int) -> MultiChannelSystem:
         C_blocks=(ParamMatrix.zeros(0, n, n),),
         q=n,
     )
+
+
+def random_unitary_system(
+    seed: int, n: int, k: int, density: float, plant: str | None = None
+) -> MultiChannelSystem:
+    """Each nonzero entry of A, B, C is its own parameter; channels 1-2 wide.
+
+    ``plant="isolated"`` leaves the last state only its self-loop (a
+    state-only component); ``plant="sourceless"`` gives it no incoming arc
+    (no cycle cover).
+    """
+    rng = random.Random(seed)
+    channels = tuple((rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k))
+    last = n - 1
+    q = 0
+
+    def pattern(rows: int, cols: int, keep) -> dict:
+        nonlocal q
+        cells = {}
+        for i in range(rows):
+            for j in range(cols):
+                if rng.random() < density and keep(i, j):
+                    cells[(i, j)] = q
+                    q += 1
+        return cells
+
+    to_last = plant is None  # arcs into the last state
+    from_last = plant != "isolated"
+    a = pattern(n, n, lambda i, j: (i != last or to_last) and (j != last or from_last))
+    if plant == "isolated":
+        a[(last, last)] = q
+        q += 1
+    bs = [pattern(n, m_i, lambda i, j: i != last or to_last) for m_i, _ in channels]
+    cs = [pattern(l_i, n, lambda i, j: j != last or from_last) for _, l_i in channels]
+
+    def matrix(rows: int, cols: int, cells: dict) -> ParamMatrix:
+        return ParamMatrix(rows, cols, {ij: p(r) for ij, r in cells.items()}, q)
+
+    return MultiChannelSystem(
+        n=n,
+        channels=channels,
+        A=matrix(n, n, a),
+        B_blocks=tuple(matrix(n, m_i, b) for (m_i, _), b in zip(channels, bs)),
+        C_blocks=tuple(matrix(l_i, n, c) for (_, l_i), c in zip(channels, cs)),
+        q=q,
+    )
+
+
+def recursive_enumeration(g: SystemGraph, budget: int) -> tuple[list[CycleSubgraph], int]:
+    """The recursive backtracking enumeration the graph route used to run.
+
+    Returns the subgraphs in depth-first order and the steps (arcs tried).
+    """
+    arcs_from = g.arcs_from()
+    results: list[CycleSubgraph] = []
+    used_vertices: set[int] = set()
+    used_colors: set[int] = set()
+    cycles: list = []
+    steps = 0
+
+    def search() -> None:
+        v0 = next((v for v in range(g.n) if v not in used_vertices), None)
+        if v0 is None:
+            results.append(CycleSubgraph(cycles=tuple(cycles)))
+            return
+        path: list = []
+        on_path: set[int] = {v0}
+        path_colors: set[int] = set()
+
+        def extend(current: int) -> None:
+            nonlocal steps
+            for arc in arcs_from.get(current, ()):
+                steps += 1
+                if steps > budget:
+                    raise EnumerationBudgetExceeded(budget)
+                if arc.color in used_colors or arc.color in path_colors:
+                    continue
+                if arc.dst == v0:
+                    verts = frozenset(on_path)
+                    colors = path_colors | {arc.color}
+                    used_vertices.update(verts)
+                    used_colors.update(colors)
+                    cycles.append(tuple(path) + (arc,))
+                    search()
+                    cycles.pop()
+                    used_colors.difference_update(colors)
+                    used_vertices.difference_update(verts)
+                elif arc.dst not in used_vertices and arc.dst not in on_path:
+                    path.append(arc)
+                    on_path.add(arc.dst)
+                    path_colors.add(arc.color)
+                    extend(arc.dst)
+                    path_colors.discard(arc.color)
+                    on_path.discard(arc.dst)
+                    path.pop()
+
+        extend(v0)
+
+    search()
+    return results, steps
+
+
+def exhaustive_decide_graphical(sys_, budget: int) -> StructuralVerdict:
+    """The graphical route as it was before the matching and the lazy search.
+
+    Lists every cycle subgraph, tallies every class, then runs the SCC test.
+    """
+    g = build_graph(sys_)
+    subs, _ = recursive_enumeration(g, budget)
+    classes = similarity_classes(subs)
+    unbalanced = [sorted(c.color_set) for c in classes if not c.balanced]
+    diagnostics: dict = {
+        "subgraph_count": len(subs),
+        "class_count": len(classes),
+        "unbalanced_classes": unbalanced,
+        "budget": budget,
+    }
+    if not unbalanced:
+        return StructuralVerdict(
+            has_sfs=True, route="graphical", reason=REASON_GENERIC_RANK,
+            diagnostics=diagnostics,
+        )
+    if state_only_scc_exists(g):
+        witness, partition = _decoupling_witness(g)
+        diagnostics["partition"] = partition
+        return StructuralVerdict(
+            has_sfs=True, route="graphical", witness=witness,
+            reason=REASON_PROPER_SUBSPACE, diagnostics=diagnostics,
+        )
+    return StructuralVerdict(has_sfs=False, route="graphical", diagnostics=diagnostics)
 
 
 def single_loop_system() -> MultiChannelSystem:
@@ -192,6 +338,24 @@ class TestEnumerate:
                 assert len(set(colors)) == len(colors)  # all colors distinct
                 assert {v for v in covered if g.is_state(v)} == set(range(g.n))
 
+    def test_matches_the_recursive_enumeration_step_for_step(self):
+        compared = 0
+        for seed in range(200):
+            g = build_graph(random_binary_system(seed + 5100, max_n=7, max_k=3))
+            try:
+                expected, steps = recursive_enumeration(g, 20_000)
+            except EnumerationBudgetExceeded:
+                continue
+            compared += bool(expected)
+            assert list(_cycle_subgraphs(g, _Steps(steps))) == expected, f"seed {seed + 5100}"
+            assert enumerate_cycle_subgraphs(g, budget=steps) == sorted(
+                expected, key=lambda sub: sub.cycles
+            )
+            if steps:
+                with pytest.raises(EnumerationBudgetExceeded):
+                    enumerate_cycle_subgraphs(g, budget=steps - 1)
+        assert compared >= 90
+
     def test_budget_exhaustion_raises(self, worked_system):
         g = build_graph(worked_system)
         with pytest.raises(EnumerationBudgetExceeded):
@@ -271,7 +435,15 @@ class TestSimilarityClasses:
         assert classes[0].odd_count == 1 and classes[0].even_count == 1
         assert classes[0].balanced
         assert closed_loop_generic_rank(sys_) < 2
-        assert decide_graphical(sys_).has_sfs
+        # a cover exists but its class balances: the lazy search must list
+        # everything instead of stopping at the matching
+        verdict = decide_graphical(sys_)
+        assert verdict.has_sfs and verdict.reason == REASON_GENERIC_RANK
+        assert verdict.witness is None
+        assert verdict.diagnostics["method"] == "enumeration"
+        assert verdict.diagnostics["unbalanced_classes"] == []
+        assert verdict.diagnostics["subgraph_count"] == 2
+        assert verdict.diagnostics["class_count"] == 1
 
     def test_empty_input(self):
         assert similarity_classes([]) == []
@@ -425,6 +597,196 @@ class TestRankBalanceEquivalence:
             classes = similarity_classes(enumerate_cycle_subgraphs(build_graph(sys_)))
             no_unbalanced = all(c.balanced for c in classes)
             assert deficient == no_unbalanced, f"seed {seed + 2024}"
+
+
+ORACLE_STEP_CAP = 20_000  # the exhaustive oracle skips a system beyond this many steps
+
+
+def is_valid_cover(g: SystemGraph, cover) -> bool:
+    """Each state has one cover arc in and one out; every other vertex as many in as out."""
+    outs = [a.src for a in cover]
+    ins = [a.dst for a in cover]
+    if len(set(outs)) != len(outs) or len(set(ins)) != len(ins) or set(outs) != set(ins):
+        return False
+    return set(range(g.n)) <= set(outs) and set(cover) <= set(g.arcs)
+
+
+class TestCycleCover:
+    def test_matches_enumeration_on_small_unitary_graphs(self):
+        covered = uncovered = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            sys_ = random_unitary_system(
+                seed, n=rng.randint(1, 5), k=rng.randint(1, 3), density=rng.uniform(0.1, 0.5)
+            )
+            g = build_graph(sys_)
+            cover = _cycle_cover(g)
+            subs = enumerate_cycle_subgraphs(g)
+            assert (cover is not None) == bool(subs), f"seed {seed}"
+            if cover is None:
+                uncovered += 1
+                continue
+            covered += 1
+            assert is_valid_cover(g, cover), f"seed {seed}"
+            # unitary: the cover's color set is one of the (unbalanced) classes
+            classes = {c.color_set: c for c in similarity_classes(subs)}
+            assert not classes[frozenset(a.color for a in cover)].balanced
+        assert covered >= 30 and uncovered >= 30
+
+    def test_no_cover_means_no_subgraph_on_binary_graphs(self):
+        uncovered = 0
+        for seed in range(200):
+            g = build_graph(random_binary_system(seed + 700, max_n=6, max_k=3))
+            cover = _cycle_cover(g)
+            if cover is None:
+                uncovered += 1
+                assert enumerate_cycle_subgraphs(g) == [], f"seed {seed + 700}"
+            else:
+                assert is_valid_cover(g, cover), f"seed {seed + 700}"
+        assert uncovered >= 20
+
+    def test_inputs_and_outputs_may_stay_off_the_cover(self):
+        # x1 has a self-loop; the input and output of its channel lie on no cycle
+        sys_ = MultiChannelSystem(
+            n=1,
+            channels=((1, 1),),
+            A=ParamMatrix.from_rows([[p(0)]], 1),
+            B_blocks=(ParamMatrix.zeros(1, 1, 1),),
+            C_blocks=(ParamMatrix.zeros(1, 1, 1),),
+            q=1,
+        )
+        g = build_graph(sys_)
+        assert g.m == g.l == 1
+        assert [(a.src, a.dst) for a in _cycle_cover(g)] == [(0, 0)]
+
+
+class TestLazyGraphicalSearch:
+    @pytest.mark.parametrize("max_n", [6, 8])
+    def test_matches_exhaustive_route_on_ensembles(self, max_n):
+        compared = 0
+        methods = set()
+        for seed in range(300):
+            sys_ = random_binary_system(seed + 50_000 * max_n, max_n=max_n, max_k=3)
+            try:
+                old = exhaustive_decide_graphical(sys_, budget=ORACLE_STEP_CAP)
+            except EnumerationBudgetExceeded:
+                continue
+            compared += 1
+            new = decide_graphical(sys_)
+            where = f"max_n {max_n}, seed {seed}"
+            assert (new.has_sfs, new.reason, new.witness) == (
+                old.has_sfs, old.reason, old.witness
+            ), where
+            assert new.diagnostics.get("partition") == old.diagnostics.get("partition"), where
+            diag = new.diagnostics
+            methods.add(diag["method"])
+            assert len(diag["unbalanced_classes"]) <= 1, where
+            for colors in diag["unbalanced_classes"]:
+                assert colors in old.diagnostics["unbalanced_classes"], where
+            if diag["subgraph_count"] is not None:  # enumerated to the end
+                assert diag["method"] == "enumeration" and not diag["unbalanced_classes"]
+                assert diag["subgraph_count"] == old.diagnostics["subgraph_count"], where
+                assert diag["class_count"] == old.diagnostics["class_count"], where
+            else:
+                assert diag["class_count"] is None, where
+        assert compared >= 250
+        assert methods == {"matching", "enumeration"}
+
+    def test_pruned_search_yields_the_same_subgraphs_in_the_same_order(self):
+        compared = 0
+        for seed in range(200):
+            g = build_graph(random_binary_system(seed + 8100, max_n=7, max_k=3))
+            try:
+                expected, _ = recursive_enumeration(g, ORACLE_STEP_CAP)
+            except EnumerationBudgetExceeded:
+                continue
+            compared += bool(expected)
+            pruned = list(_cycle_subgraphs(g, _Steps(10**7), prune=True))
+            assert pruned == expected, f"seed {seed + 8100}"
+        assert compared >= 90
+
+    def test_pruning_reaches_a_late_first_subgraph(self):
+        # without pruning, the search tries about 221k arcs before the first subgraph
+        sys_ = random_binary_system(77039, max_n=12, max_k=3)
+        with pytest.raises(EnumerationBudgetExceeded):
+            next(_cycle_subgraphs(build_graph(sys_), _Steps(100_000)))
+        verdict = decide_graphical(sys_, budget=5_000)
+        assert verdict.diagnostics["method"] == "enumeration"
+        assert verdict.has_sfs == decide_linear(sys_).has_sfs
+
+    def test_reported_class_has_the_exhaustive_tally(self):
+        found_count = 0
+        for seed in range(200):
+            g = build_graph(random_binary_system(seed + 300, max_n=6, max_k=3))
+            try:
+                exhaustive = similarity_classes(
+                    enumerate_cycle_subgraphs(g, budget=ORACLE_STEP_CAP)
+                )
+            except EnumerationBudgetExceeded:
+                continue
+            found, subgraph_count, class_count = _first_unbalanced_class(g, _Steps(10**7))
+            if found is None:
+                assert all(c.balanced for c in exhaustive)
+                assert class_count == len(exhaustive)
+                continue
+            found_count += 1
+            assert (subgraph_count, class_count) == (None, None)
+            assert found in exhaustive, f"seed {seed + 300}"
+        assert found_count >= 50
+
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_large_unitary_systems_decided_by_matching(self, n):
+        # the exhaustive route runs past 10^6 steps on the unplanted ones
+        reasons = set()
+        for seed, plant in itertools.product(range(3), (None, "isolated", "sourceless")):
+            sys_ = random_unitary_system(1000 * n + seed, n=n, k=3, density=0.25, plant=plant)
+            verdict = decide_graphical(sys_)
+            diag = verdict.diagnostics
+            assert diag["method"] == "matching" and diag["steps"] == 0
+            assert diag["subgraph_count"] is None and diag["class_count"] is None
+            assert verdict.has_sfs == decide_linear(sys_, seed=seed).has_sfs, f"seed {seed}"
+            reasons.add(verdict.reason)
+            for colors in diag["unbalanced_classes"]:  # one arc per color: a cover
+                g = build_graph(sys_)
+                assert is_valid_cover(g, [a for a in g.arcs if a.color in colors])
+        assert reasons == {None, REASON_GENERIC_RANK, REASON_PROPER_SUBSPACE}
+
+    def test_steps_count_every_search_against_one_budget(self):
+        checked = replayed = 0
+        for seed in range(150):
+            sys_ = random_binary_system(seed + 6000, max_n=6, max_k=3)
+            try:
+                verdict = decide_graphical(sys_, budget=ORACLE_STEP_CAP)
+            except EnumerationBudgetExceeded:
+                continue
+            steps = verdict.diagnostics["steps"]
+            if verdict.diagnostics["method"] != "enumeration":
+                assert steps == 0
+                continue
+            checked += 1
+            assert decide_graphical(sys_, budget=steps).diagnostics["steps"] == steps
+            with pytest.raises(EnumerationBudgetExceeded):
+                decide_graphical(sys_, budget=steps - 1)
+            # replay: outer search up to its first subgraph, then the full
+            # enumeration restricted to that subgraph's colors
+            g = build_graph(sys_)
+            outer, inner = _Steps(ORACLE_STEP_CAP), _Steps(ORACLE_STEP_CAP)
+            first = next(_cycle_subgraphs(g, outer, prune=True), None)
+            if first is None:  # a cover with a repeated color, no subgraph
+                assert steps == outer.used, f"seed {seed + 6000}"
+                continue
+            colors = first.color_set
+            restricted = replace(g, arcs=tuple(a for a in g.arcs if a.color in colors))
+            classes = similarity_classes(enumerate_cycle_subgraphs(restricted, _steps=inner))
+            if not all(c.balanced for c in classes):
+                replayed += 1
+                assert steps == outer.used + inner.used, f"seed {seed + 6000}"
+        assert checked >= 30 and replayed >= 30
+
+    def test_tiny_budget_raises(self, worked_system):
+        assert decide_graphical(worked_system).diagnostics["method"] == "enumeration"
+        with pytest.raises(EnumerationBudgetExceeded):
+            decide_graphical(worked_system, budget=1)
 
 
 class TestExportDot:
