@@ -166,20 +166,31 @@ def pencil_rank_deficient(
     A: np.ndarray,
     B_S: np.ndarray,
     C_compl: np.ndarray,
-    lam: complex,
+    lam: complex | np.ndarray,
     tol: float = DEFAULT_RANK_TOL,
-) -> bool:
-    """True iff the bordered pencil at lambda has rank below n."""
+) -> bool | np.ndarray:
+    """True iff the bordered pencil at lambda has rank below n.
+
+    ``lam`` is a complex number, or a 1-D array of them; an array gives a
+    bool array, one entry per lambda.  The pencils are stacked and ranked
+    by one batched SVD, each against its own threshold
+    tol * sigma_max * max(shape), as ``numeric_rank`` does (so a zero
+    pencil has rank 0).
+    """
+    lams = np.asarray(lam, dtype=complex)
     n = A.shape[0]
     ms = B_S.shape[1]
     lc = C_compl.shape[0]
-    pencil = np.zeros((n + lc, n + ms), dtype=complex)
-    pencil[:n, :n] = lam * np.eye(n) - A
+    pencils = np.zeros((lams.size, n + lc, n + ms), dtype=complex)
+    pencils[:, :n, :n] = lams.reshape(-1, 1, 1) * np.eye(n) - A
     if ms:
-        pencil[:n, n:] = B_S
+        pencils[:, :n, n:] = B_S
     if lc:
-        pencil[n:, :n] = C_compl
-    return numeric_rank(pencil, tol) < n
+        pencils[:, n:, :n] = C_compl
+    sigma = np.linalg.svd(pencils, compute_uv=False)
+    threshold = tol * sigma[:, :1] * max(n + lc, n + ms)
+    deficient = np.count_nonzero(sigma > threshold, axis=1) < n
+    return bool(deficient[0]) if lams.ndim == 0 else deficient
 
 
 def _cluster(values: Sequence[complex], radius: float) -> list[complex]:
@@ -206,24 +217,26 @@ def fixed_spectrum(
     """All eigenvalues of A that some channel subset keeps fixed.
 
     Eigenvalues closer than cluster_tol are merged and tested once; subsets
-    are scanned by increasing cardinality, every witness retained.
+    are scanned by increasing cardinality, every witness retained.  Each
+    subset's pencils at all the merged eigenvalues go to one
+    ``pencil_rank_deficient`` call.
     """
     A = nsys.A_array()
     eigs = np.linalg.eigvals(A)
     reps = _cluster(list(map(complex, eigs)), cluster_tol)
-    subset_arrays = [
-        (s, nsys.B_array(s), nsys.C_array(s.complement(nsys.k)))
-        for s in all_subsets(nsys.k)
+    lams = np.array(reps, dtype=complex)
+    witnesses: list[list[ChannelSubset]] = [[] for _ in reps]
+    for s in all_subsets(nsys.k):
+        B_S, C_compl = nsys.B_array(s), nsys.C_array(s.complement(nsys.k))
+        deficient = pencil_rank_deficient(A, B_S, C_compl, lams, tol)
+        for found, lam_witnesses in zip(deficient, witnesses):
+            if found:
+                lam_witnesses.append(s)
+    fixed = [
+        FixedEigenvalue(value=lam, witnesses=tuple(ws))
+        for lam, ws in zip(reps, witnesses)
+        if ws
     ]
-    fixed = []
-    for lam in reps:
-        witnesses = [
-            s
-            for s, B_S, C_compl in subset_arrays
-            if pencil_rank_deficient(A, B_S, C_compl, lam, tol)
-        ]
-        if witnesses:
-            fixed.append(FixedEigenvalue(value=lam, witnesses=tuple(witnesses)))
     return FixedSpectrumResult(
         fixed_eigenvalues=tuple(fixed), rank_tol=tol, cluster_tol=cluster_tol
     )

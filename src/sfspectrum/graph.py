@@ -181,11 +181,9 @@ def build_graph(
     n, m, l, q = sys.n, sys.m, sys.l, sys.q
     arcs: list[Arc] = []
     for term in decomp.terms:
-        rows = [i for i, x in enumerate(term.g) if x != 0]
-        cols = [j for j, x in enumerate(term.h) if x != 0]
         color = term.param_index + 1
-        for i in rows:
-            for j in cols:
+        for i in term.rows:
+            for j in term.cols:
                 if i < n and j < n:
                     arcs.append(Arc(src=j, dst=i, color=color, kind="A"))
                 elif i < n:

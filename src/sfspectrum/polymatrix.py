@@ -477,6 +477,8 @@ def evaluation_prime(mats: Iterable[ParamMatrix]) -> int:
 
 
 def _residue(x, modulus: int) -> int:
+    if type(x) is int:  # the common case, without the slower ABC isinstance check
+        return x % modulus
     if isinstance(x, Fraction):
         return x.numerator * pow(x.denominator, -1, modulus) % modulus
     return x % modulus

@@ -2,19 +2,23 @@
 
 Three decision routes are provided:
 
-* ``decide_polynomial`` works for any polynomial parameterization.  It samples
-  random parameter points with integer coordinates in [-300, 300] and, at
-  each point, decides exactly whether some eigenvalue makes the bordered
-  pencil of a channel subset drop rank.  The per-point test is algebraic: a
-  rank drop at lambda forces lambda into the spectrum of A + B_S E + K C for
-  every E and K, so a constant gcd of the characteristic polynomials of A and
-  a few random integer perturbations (entries in [-99, 99]) proves no drop
-  exists.  The characteristic polynomials and their gcd are computed in
-  GF(p), p the system's evaluation prime; they are monic with p-integral
-  coefficients, so by Gauss's lemma a constant gcd mod p proves a constant
-  gcd over Q and the certificate stays exact.  Because rank-deficiency sets
-  are proper algebraic varieties, one certifying sample discards a subset for
-  almost every parameter value.
+* ``decide_polynomial`` works for any polynomial parameterization.  It draws
+  ``trials`` points uniformly in GF(p)^q, p the system's evaluation prime,
+  shares them across every channel subset, and evaluates the system once
+  per point.  A subset's bordered pencil drops rank at lambda only if lambda
+  is a fixed mode, an eigenvalue of A + B K C for every block-diagonal K
+  (Wang & Davison, 1973).  So at the first point a constant gcd of the
+  characteristic polynomials of A and of A + B K C, for one uniform K,
+  certifies every subset at once.  Otherwise each subset is tested point by
+  point: a drop at lambda forces lambda into the spectrum of A + B_S E + K C
+  for every E and K, so a constant gcd with one uniform perturbation proves
+  that the subset drops nowhere at that point.  The characteristic
+  polynomials and their gcd are computed in GF(p); the points are integer
+  residues, the polynomials are monic with p-integral coefficients, so by
+  Gauss's lemma a constant gcd mod p proves a constant gcd over Q and the
+  certificate stays exact.  Because rank-deficiency sets are proper
+  algebraic varieties, one certifying sample discards a subset for almost
+  every parameter value.
 
 * ``decide_linear`` specializes to linearly parameterized systems: the system
   has a structurally fixed spectrum iff the closed-loop generic rank of
@@ -27,11 +31,9 @@ Three decision routes are provided:
 * the graphical route for binary parameterizations lives in ``graph``.
 
 No-SFS verdicts rest on an explicit certificate; SFS verdicts are correct up
-to the failure probability of the random sampling.  For the routes that
-sample in GF(p) that is at most (degree) / p per trial, below 2^-40 at desk
-scale.  The pencil route samples from the small integer ranges above, so its
-per-sample bound is the Schwartz-Zippel bound relative to those ranges
-instead, made small only by repeating the sample ``trials`` times.
+to the failure probability of the random sampling.  Every route samples
+uniformly in GF(p), so that is at most (degree) / p per trial, below 2^-40
+at desk scale.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ __all__ = [
 REASON_GENERIC_RANK = "generic-rank-deficient"
 REASON_PROPER_SUBSPACE = "proper-subspace"
 REASON_PENCIL_DROP = "pencil-drop-all-p"
-
-RANDOM_POINT_RANGE = 300  # rational sample coordinates are integers in [-R, R]
-PERTURBATION_RANGE = 99  # entries of the random E, K perturbations
-
 
 @dataclass(frozen=True)
 class GenericDims:
@@ -202,12 +200,41 @@ def poly_gcd(a: list, b: list, modulus: int | None = None) -> list:
     return a
 
 
-def _perturbation(rng: random.Random, rows: int, cols: int, p: int):
-    """A random integer matrix with entries in [-R, R], as residues mod p."""
-    return [
-        [rng.randint(-PERTURBATION_RANGE, PERTURBATION_RANGE) % p for _ in range(cols)]
-        for _ in range(rows)
-    ]
+def _uniform(rng: random.Random, rows: int, cols: int, p: int):
+    """A matrix of independent uniform residues mod p."""
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
+@dataclass(frozen=True)
+class _SamplePoint:
+    """A system evaluated once at a point of GF(p): A, the stacked B and C, chi(A)."""
+
+    A: list
+    B: list
+    C: list
+    char_A: list
+
+
+def _evaluate(sys: MultiChannelSystem, stacked, residues) -> _SamplePoint:
+    """The system at a point of integer residues; ``stacked`` is ``stack(sys)``."""
+    p = sys.prime
+    B, C = stacked
+    A = sys.A.evaluate_at(residues, p)
+    return _SamplePoint(
+        A=A,
+        B=B.evaluate_at(residues, p),
+        C=C.evaluate_at(residues, p),
+        char_A=char_poly_exact(A, p),
+    )
+
+
+def _spans(widths) -> list[range]:
+    """Index ranges of consecutive blocks of the given widths."""
+    out, at = [], 0
+    for w in widths:
+        out.append(range(at, at + w))
+        at += w
+    return out
 
 
 def pencil_drop_at_point(
@@ -215,13 +242,16 @@ def pencil_drop_at_point(
     s: ChannelSubset,
     values,
     seed: int = 0,
-    draws: int = 3,
+    draws: int = 1,
+    *,
+    _point: _SamplePoint | None = None,
 ) -> bool:
     """Exact test: does some eigenvalue drop the bordered pencil of S at this point?
 
     A drop at lambda puts lambda in the spectrum of A + B_S E + K C for every
     E and K, so a constant gcd of the characteristic polynomials of A and
-    ``draws`` random integer perturbations certifies that no drop exists.
+    ``draws`` perturbations (entries uniform in GF(p)) certifies that no
+    drop exists.
 
     ``values`` are rational coordinates whose denominators the system's
     evaluation prime p does not divide.  The whole test runs in GF(p): the
@@ -230,29 +260,60 @@ def pencil_drop_at_point(
     a constant gcd mod p proves a constant gcd over Q.  A "no drop" answer
     is therefore exact; the only extra error (p dividing a resultant)
     reports a drop and merely costs another sample.  A nonconstant gcd
-    reports a drop; spurious shared roots across all draws are negligible.
+    reports a drop; by the Schwartz-Zippel lemma a draw shares a root with
+    chi(A) that no drop forces with probability at most n^2 / p.
+    ``decide_polynomial`` passes the system already evaluated at ``values``
+    as ``_point``.
     """
-    rng = random.Random(seed)
+    if any(i >= sys.k for i in s):
+        raise ValueError(f"channel index out of range for k={sys.k}")
     p = sys.prime
-    residues = [_residue(v, p) for v in values]
-    B_S, C_compl = split(sys, s)
-    A = sys.A.evaluate_at(residues, p)
-    B = B_S.evaluate_at(residues, p)
-    C = C_compl.evaluate_at(residues, p)
-    n, ms, lc = sys.n, B_S.cols, C_compl.rows
-    g = char_poly_exact(A, p)
+    if _point is None:
+        _point = _evaluate(sys, stack(sys), [_residue(v, p) for v in values])
+    in_cols = _spans(m_i for m_i, _ in sys.channels)
+    out_rows = _spans(l_i for _, l_i in sys.channels)
+    cols = [c for i in s for c in in_cols[i]]
+    B = [[row[c] for c in cols] for row in _point.B]
+    C = [_point.C[r] for j in s.complement(sys.k) for r in out_rows[j]]
+    rng = random.Random(seed)
+    n, ms, lc = sys.n, len(cols), len(C)
+    A = _point.A
+    g = _point.char_A
     for _ in range(draws):
         if not ms and not lc:
             break  # no feedback paths at all; the gcd stays the full polynomial
         M = A
         if ms:
-            M = _mat_add_mod(M, _mat_mul_mod(B, _perturbation(rng, ms, n, p), p), p)
+            M = _mat_add_mod(M, _mat_mul_mod(B, _uniform(rng, ms, n, p), p), p)
         if lc:
-            M = _mat_add_mod(M, _mat_mul_mod(_perturbation(rng, n, lc, p), C, p), p)
+            M = _mat_add_mod(M, _mat_mul_mod(_uniform(rng, n, lc, p), C, p), p)
         g = poly_gcd(g, char_poly_exact(M, p), p)
         if len(g) == 1:
             return False
     return len(g) > 1
+
+
+def _no_fixed_mode_at(sys: MultiChannelSystem, point: _SamplePoint, rng: random.Random) -> bool:
+    """Exact certificate that no channel subset drops its pencil at this point.
+
+    A drop of some subset's pencil at lambda makes lambda a fixed mode: an
+    eigenvalue of A + B K C for every block-diagonal K (Wang & Davison,
+    1973).  So a constant gcd mod p of chi(A) and chi(A + B K C), for one K
+    with uniform residue entries, certifies every subset at once (exactly,
+    by the Gauss's-lemma argument of ``pencil_drop_at_point``).
+    """
+    if not any(m_i and l_i for m_i, l_i in sys.channels):
+        return False  # no channel closes a loop: every eigenvalue of A is fixed
+    p = sys.prime
+    K = [[0] * sys.l for _ in range(sys.m)]
+    for rows, cols in zip(
+        _spans(m_i for m_i, _ in sys.channels), _spans(l_i for _, l_i in sys.channels)
+    ):
+        for r in rows:
+            for c in cols:
+                K[r][c] = rng.randrange(p)
+    M = _mat_add_mod(point.A, _mat_mul_mod(point.B, _mat_mul_mod(K, point.C, p), p), p)
+    return len(poly_gcd(point.char_A, char_poly_exact(M, p), p)) == 1
 
 
 def decide_polynomial(
@@ -260,37 +321,53 @@ def decide_polynomial(
 ) -> StructuralVerdict:
     """Decide structurally fixed spectrum for a polynomial parameterization.
 
-    For each channel subset, random integer points are sampled; one point
-    with no pencil drop discards the subset (exactly, for that point; for
-    almost all parameters by genericity).  A subset failing at every sample
-    is returned as witness.
+    ``trials`` points are drawn uniformly in GF(p)^q and shared by every
+    channel subset; the system is evaluated at most once per point.  At the
+    first point one block-diagonal feedback certifies every subset at once
+    when the system has no fixed mode there.  Otherwise each subset is
+    tested at the points in turn: one point with no pencil drop discards it
+    (exactly, for that point; for almost all parameters by genericity), and
+    the first subset dropping at every point is returned as witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    p = sys.prime
+    points = [[rng.randrange(p) for _ in range(sys.q)] for _ in range(trials)]
+    labels = [[str(v) for v in values] for values in points]
+    stacked = stack(sys)
+    evaluated = [_evaluate(sys, stacked, points[0])]
     subset_diag = []
-    overall = None
-    for s in sys.subsets():
-        samples = []
-        certified = False
-        for _ in range(trials):
-            values = [
-                Fraction(rng.randint(-RANDOM_POINT_RANGE, RANDOM_POINT_RANGE))
-                for _ in range(sys.q)
-            ]
-            drop = pencil_drop_at_point(sys, s, values, seed=rng.randrange(2**32))
-            samples.append(
-                {"point": [str(v) for v in values], "pencil_drop": drop}
+    witness = None
+    if _no_fixed_mode_at(sys, evaluated[0], rng):
+        subset_diag = [
+            {
+                "subset": [i + 1 for i in s.members],
+                "certified": True,
+                "samples": [{"point": labels[0], "pencil_drop": False}],
+            }
+            for s in sys.subsets()
+        ]
+    else:
+        for s in sys.subsets():
+            samples = []
+            certified = False
+            for t, values in enumerate(points):
+                if t == len(evaluated):
+                    evaluated.append(_evaluate(sys, stacked, values))
+                drop = pencil_drop_at_point(
+                    sys, s, values, seed=rng.randrange(2**32), _point=evaluated[t]
+                )
+                samples.append({"point": labels[t], "pencil_drop": drop})
+                if not drop:
+                    certified = True
+                    break
+            subset_diag.append(
+                {"subset": [i + 1 for i in s.members], "certified": certified, "samples": samples}
             )
-            if not drop:
-                certified = True
+            if not certified:
+                witness = s
                 break
-        subset_diag.append(
-            {"subset": [i + 1 for i in s.members], "certified": certified, "samples": samples}
-        )
-        if not certified and overall is None:
-            overall = s
-            break
     diagnostics = {
         "trials": trials,
         "seed": seed,
@@ -300,11 +377,11 @@ def decide_polynomial(
             "SFS verdicts hold up to the sampling failure probability"
         ),
     }
-    if overall is not None:
+    if witness is not None:
         return StructuralVerdict(
             has_sfs=True,
             route="pencil-sampling",
-            witness=overall,
+            witness=witness,
             reason=REASON_PENCIL_DROP,
             diagnostics=diagnostics,
         )

@@ -216,11 +216,16 @@ def feedback_pattern(sys: MultiChannelSystem) -> FeedbackPattern:
 
 @dataclass(frozen=True)
 class RankOneTerm:
-    """One rank-one term of a linear parameterization: D_r = outer(g, h)."""
+    """One rank-one term of a linear parameterization: D_r = outer(g, h).
+
+    ``rows`` and ``cols`` are the supports of g and h, ascending.
+    """
 
     param_index: int
     g: tuple[Fraction, ...]  # length n + l column
     h: tuple[Fraction, ...]  # length n + m row
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
 
     def derivative_entry(self, i: int, j: int) -> Fraction:
         return self.g[i] * self.h[j]
@@ -315,11 +320,14 @@ def rank_one_terms(Z: ParamMatrix) -> tuple[tuple[RankOneTerm, ...], bool, bool]
     for r in sorted(derivatives):
         g, h = _rank_one_factor(derivatives[r], Z.rows, Z.cols, r)
         support = derivatives[r]
+        # the support fills supp(g) x supp(h) exactly (checked by the factoring)
+        rows = tuple(sorted({i for i, _ in support}))
+        cols = tuple(sorted({j for _, j in support}))
         if any(value not in (0, 1) for value in support.values()):
             is_binary = False
         if len(support) != 1 or next(iter(support.values())) != 1:
             is_unitary = False
-        terms.append(RankOneTerm(param_index=r, g=g, h=h))
+        terms.append(RankOneTerm(param_index=r, g=g, h=h, rows=rows, cols=cols))
     return tuple(terms), is_binary, is_unitary
 
 

@@ -14,7 +14,10 @@ from sfspectrum import (
     random_feedback_oracle,
     rank_exact,
 )
-from conftest import spectra_match
+from sfspectrum.ensembles import random_numeric_system
+from sfspectrum.fixedmodes import _cluster, numeric_rank
+from sfspectrum.system import all_subsets
+from conftest import chain_with_fixed_mode, spectra_match
 
 
 def empty_cols(n):
@@ -43,6 +46,113 @@ class TestPencil:
         assert pencil_rank_deficient(A, B_S, C_compl, 2.0)
         assert not pencil_rank_deficient(A, B_S, C_compl, 1.0)
         assert not pencil_rank_deficient(A, B_S, C_compl, 3.0)
+
+
+def scalar_pencil_rank_deficient(A, B_S, C_compl, lam, tol=1e-9):
+    """Reference: one bordered pencil at one lambda, one SVD."""
+    n = A.shape[0]
+    ms = B_S.shape[1]
+    lc = C_compl.shape[0]
+    pencil = np.zeros((n + lc, n + ms), dtype=complex)
+    pencil[:n, :n] = lam * np.eye(n) - A
+    if ms:
+        pencil[:n, n:] = B_S
+    if lc:
+        pencil[n:, :n] = C_compl
+    return numeric_rank(pencil, tol) < n
+
+
+def per_lambda_fixed_spectrum(nsys, tol=1e-9, cluster_tol=1e-6):
+    """Reference: the fixed spectrum by one scalar pencil test per (lambda, subset)."""
+    A = nsys.A_array()
+    reps = _cluster(list(map(complex, np.linalg.eigvals(A))), cluster_tol)
+    subset_arrays = [
+        (s, nsys.B_array(s), nsys.C_array(s.complement(nsys.k)))
+        for s in all_subsets(nsys.k)
+    ]
+    fixed = []
+    for lam in reps:
+        witnesses = tuple(
+            s
+            for s, B_S, C_compl in subset_arrays
+            if scalar_pencil_rank_deficient(A, B_S, C_compl, lam, tol)
+        )
+        if witnesses:
+            fixed.append((lam, witnesses))
+    return fixed
+
+
+class TestBatchedPencil:
+    """The batched pencil test equals one SVD per lambda, entry by entry."""
+
+    @staticmethod
+    def _check(A, B_S, C_compl, lams):
+        batched = pencil_rank_deficient(A, B_S, C_compl, np.array(lams, dtype=complex))
+        assert batched.shape == (len(lams),)
+        expected = [scalar_pencil_rank_deficient(A, B_S, C_compl, lam) for lam in lams]
+        assert batched.tolist() == expected
+        for lam, want in zip(lams, expected):
+            single = pencil_rank_deficient(A, B_S, C_compl, lam)
+            assert type(single) is bool and single == want
+        return expected
+
+    def test_random_real_and_complex_lambdas(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(60):
+            n, ms, lc = rng.integers(1, 6), rng.integers(0, 3), rng.integers(0, 3)
+            A = rng.integers(-3, 4, size=(n, n)).astype(float)
+            if rng.random() < 0.5:
+                A = np.tril(A)  # real eigenvalues, often fixed by a confined channel
+            B_S = rng.integers(-2, 3, size=(n, ms)).astype(float)
+            C_compl = rng.integers(-2, 3, size=(lc, n)).astype(float)
+            if ms and rng.random() < 0.5:
+                B_S[: n // 2 + 1] = 0.0
+            lams = list(np.linalg.eigvals(A))
+            lams += list(rng.normal(size=3) + 1j * rng.normal(size=3))
+            lams += list(rng.normal(size=2))
+            seen.update(self._check(A, B_S, C_compl, lams))
+        assert seen == {True, False}
+
+    def test_repeated_eigenvalues(self):
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+        B_S = np.array([[1.0], [0.0], [0.0]])
+        C_compl = np.array([[1.0, 0.0, 0.0]])
+        # 1e8 in the same batch: each pencil keeps its own threshold
+        lams = [2.0, 2.0, 2.0 + 1e-12, 2.01, 3.0, 1e8]
+        assert self._check(A, B_S, C_compl, lams) == [True, True, True, False, False, False]
+
+    def test_zero_pencil_and_empty_borders(self):
+        n = 3
+        zero = np.zeros((n, n))
+        # lambda = 0 makes the whole pencil zero: sigma_max = 0, rank 0
+        assert self._check(zero, empty_cols(n), empty_rows(n), [0.0, 1.0]) == [True, False]
+        assert self._check(zero, np.zeros((n, 2)), np.zeros((1, n)), [0.0]) == [True]
+        A = np.diag([1.0, 2.0, 3.0])
+        B = np.eye(n)[:, :1]
+        C = np.eye(n)[2:]
+        assert self._check(A, B, empty_rows(n), [1.0, 2.0, 3.0]) == [False, True, True]
+        assert self._check(A, empty_cols(n), C, [1.0, 2.0, 3.0]) == [True, True, False]
+        assert pencil_rank_deficient(A, B, C, np.array([], dtype=complex)).shape == (0,)
+
+    def test_fixed_spectrum_equals_the_per_lambda_loop(self, classic_numeric):
+        systems = [
+            classic_numeric,
+            chain_with_fixed_mode(),
+            NumericSystem.build(
+                A=[[0, 1], [0, 0]], B_blocks=[[[1, 0], [0, 1]]], C_blocks=[[[1, 0], [0, 1]]]
+            ),
+            NumericSystem.build(A=[[5, 0], [0, 7]], B_blocks=[[[], []]], C_blocks=[[]]),
+            NumericSystem.build(A=[[4, 1], [0, 9]], B_blocks=[[[], []]], C_blocks=[[]]),
+        ]
+        rng = random.Random(2)
+        systems += [random_numeric_system(seed=rng.randrange(10**6)) for _ in range(60)]
+        nonempty = 0
+        for ns in systems:
+            got = [(fe.value, fe.witnesses) for fe in fixed_spectrum(ns).fixed_eigenvalues]
+            assert got == per_lambda_fixed_spectrum(ns)
+            nonempty += bool(got)
+        assert nonempty >= 10
 
 
 class TestFixedSpectrum:

@@ -60,39 +60,39 @@ def _ensemble(seed):
 CASES = {
     "demo-two-channel-shared": (
         "two_channel_shared.json", 3,
-        "a26ea17642b5d5c1a4a8ef23b548f39cb5be8703cb81587e94d90301a67f93d2",
+        "581f0fc1872423dc542ab63d9949acbea0a8afa446dd4af5229bc0c2c2bb5b61",
     ),
     "demo-chain-fixed-mode": (
         "chain_fixed_mode.json", 0,
-        "d585abe53c519cb868bf10c367bb433aa02612d8dbcb199907b3e5cd4eccd968",
+        "0ba25d35e06a868292774e3abeed5aeca97bc350b23919c4ee8c2decd3c38137",
     ),
     "ensemble-5": (
         _ensemble(5), 5,
-        "9bf08879d45f638fc405568567091911d0ceb785543e5440833b548f219cd453",
+        "87b76ae7d8ad009b0612d17c5d9662c13e3b2e6e0e7e96084aa7fdfddda30b04",
     ),
     "ensemble-11": (
         _ensemble(11), 11,
-        "31c8a6accc46298c7f0e31138e190306ef27e0318e1863ee4fd85cce45f4fe9c",
+        "9d9c1764b6fd8c0a94c1b685a2c913531bcba5b733eb55f60201534fe2dfbdb3",
     ),
     "ensemble-16": (
         _ensemble(16), 16,
-        "855818e60bcd59430e77ae9e44f8488840111a0dddbae04e163263989992538c",
+        "8ffc70a3fe200ebd648147caba53a3556dc91d35d9cf3e374bdd76d6c67644d3",
     ),
     "ensemble-20": (
         _ensemble(20), 20,
-        "22cb2988c81b92f6f7532ce68ec401d60b8a87e0c506e1f102b71c09078685d5",
+        "c8138c20c27acb8c731e959fdb554e9ffc4fc39bad6cc45f786f1d974071550f",
     ),
     "ensemble-29": (
         _ensemble(29), 29,
-        "6e8f1da313465f51cf3292980945399078828abc4e773f15f3739ff420c007f0",
+        "52fc47c3b54d27e439f26698b1deeeee0fa5216c222c56840eb9b8c616c5dbb6",
     ),
     "repeated-diagonal": (
         repeated_diagonal_counterexample, 2,
-        "786c6a835ac290a63db43ce8b5ffa6daf83330c0aa701c1110b82142a48d42f8",
+        "ecbb3bbded800f7fd67caffe6ef00fc7265140031cc00684f09bf934e9ee6fbd",
     ),
     "polynomial-fractions": (
         polynomial_with_fractions, 7,
-        "584c77477ac8e957656393c9e5de6a580d8c140ca3131760b2cfacd2409d4ff1",
+        "501004b755538cc9e0c205953164d9d56e1ce0cb541d2c60c5d3fa812ab7f497",
     ),
 }
 

@@ -149,9 +149,13 @@ def _poly_mul(a, b):
     return out
 
 
-def _pencil_drop_over_q(sys_, s, values, seed, draws=3):
-    """Reference for pencil_drop_at_point: the same E and K draws, over Q."""
+def _pencil_drop_over_q(sys_, s, values, seed, draws=1):
+    """Reference for pencil_drop_at_point: the same E and K draws, over Q.
+
+    The draws are uniform residues mod the system's prime, taken as integers.
+    """
     rng = random.Random(seed)
+    prime = sys_.prime
     B_S, C_compl = split(sys_, s)
     A = sys_.A.evaluate_at(values)
     B, C = B_S.evaluate_at(values), C_compl.evaluate_at(values)
@@ -161,10 +165,10 @@ def _pencil_drop_over_q(sys_, s, values, seed, draws=3):
             break
         M = A
         if B_S.cols:
-            E = [[F(rng.randint(-99, 99)) for _ in range(sys_.n)] for _ in range(B_S.cols)]
+            E = [[F(rng.randrange(prime)) for _ in range(sys_.n)] for _ in range(B_S.cols)]
             M = _mat_add_q(M, _mat_mul_q(B, E))
         if C_compl.rows:
-            K = [[F(rng.randint(-99, 99)) for _ in range(C_compl.rows)] for _ in range(sys_.n)]
+            K = [[F(rng.randrange(prime)) for _ in range(C_compl.rows)] for _ in range(sys_.n)]
             M = _mat_add_q(M, _mat_mul_q(K, C))
         g = poly_gcd(g, char_poly_exact(M))
         if len(g) == 1:

@@ -314,12 +314,13 @@ class TestDecompositionInvariants:
 
     def test_rectangle_completion_property(self):
         # a color leaving vertex j and entering vertex i forces entry (i, j)
-        for seed in range(10):
-            sys_ = random_binary_system(seed=seed + 60)
+        for seed in range(40):
+            sys_ = random_binary_system(seed=seed + 60, max_n=6, max_k=3)
             decomp = detect_linear_parameterization(sys_)
             for t in decomp.terms:
                 rows = [i for i, x in enumerate(t.g) if x != 0]
                 cols = [j for j, x in enumerate(t.h) if x != 0]
+                assert (t.rows, t.cols) == (tuple(rows), tuple(cols))
                 for i in rows:
                     for j in cols:
                         assert t.derivative_entry(i, j) != 0
