@@ -10,6 +10,7 @@ budget exhausted (``analyze`` still emits its report).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -510,7 +511,9 @@ def _format_fixed_modes_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sfspectrum",
         description="Decide structurally fixed spectra of parameterized multi-channel systems",
@@ -536,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set",
         dest="assignments",
         action="append",
-        default=[],
+        default=None,  # a fresh list per parse: the cached parser shares its defaults
         metavar="NAME=VALUE",
         help="assign a parameter an exact rational value (repeatable)",
     )
@@ -582,7 +585,7 @@ def main(argv=None) -> int:
             return code
         if args.command == "fixed-modes":
             assignments = {}
-            for item in args.assignments:
+            for item in args.assignments or ():
                 name, sep, value = item.partition("=")
                 if not sep or not _COEFF_RE.match(value):
                     raise SystemFileError(

@@ -5,12 +5,40 @@ makes the bordered pencil [lambda I - A, B_S; C over the complement, 0] drop
 below rank n.  This module runs that test over all eigenvalues and subsets,
 and provides a definition-level oracle that intersects closed-loop spectra
 over many random block-diagonal feedback gains.
+
+``fixed_spectrum`` decides each (eigenvalue, subset) pair exactly as one
+``pencil_rank_deficient`` test would, but runs that test only where its
+outcome is open:
+
+* Conjugate sharing.  A, B and C are real, so the pencil at conj(lambda) is
+  the entrywise conjugate of the pencil at lambda and has the same singular
+  values.  An eigenvalue below the real axis whose exact conjugate is also
+  tested takes that conjugate's witnesses.
+* One-channel screen.  For each channel i, sigma_n of [lambda I - A, B_i]
+  and of [lambda I - A; C_i] is compared with
+  thr = tol * (n + max(m, l)) * sqrt(|lambda I - A|_F^2 + |B|_F^2 + |C|_F^2).
+  thr is never below the threshold tol * sigma_max * max(shape) of any
+  subset's pencil, because sigma_max is at most the Frobenius norm and the
+  pencil is at most (n + l) x (n + m).  Each one-channel block is a
+  submatrix of the pencils it borders, and deleting rows or columns cannot
+  raise a singular value (interlacing), so sigma_n(pencil) >=
+  sigma_n(block).  A channel whose B side clears thr therefore rules out
+  every subset that contains it, and one whose C side clears thr every
+  subset that leaves it out.  The pairs that remain go to
+  ``pencil_rank_deficient``, one batched call per subset.  Only a pencil
+  whose sigma_n rounds onto its own threshold could be decided otherwise,
+  and there the full test itself is not reproducible.
+
+``random_feedback_oracle`` draws the same gains, in the same order, as a
+one-gain-at-a-time loop would, and stacks them in chunks of 1, 2, 4, ... up
+to 64 gains for one ``eigvals`` call each.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,6 +59,7 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-6
+ORACLE_CHUNK = 64  # most gains stacked into one eigvals call; bounds the buffers
 
 
 def _exact_matrix(data) -> tuple[tuple[Fraction, ...], ...]:
@@ -75,12 +104,13 @@ class NumericSystem:
         """Evaluate a parameterized system at a rational parameter point."""
         if point.modulus is not None:
             raise ValueError("numeric systems require a rational point")
+        # a rational evaluation already yields Fraction entries
         return cls(
             n=sys.n,
             channels=sys.channels,
-            A=_exact_matrix(sys.A.evaluate(point)),
-            B_blocks=tuple(_exact_matrix(B.evaluate(point)) for B in sys.B_blocks),
-            C_blocks=tuple(_exact_matrix(C.evaluate(point)) for C in sys.C_blocks),
+            A=tuple(map(tuple, sys.A.evaluate(point))),
+            B_blocks=tuple(tuple(map(tuple, B.evaluate(point))) for B in sys.B_blocks),
+            C_blocks=tuple(tuple(map(tuple, C.evaluate(point))) for C in sys.C_blocks),
         )
 
     @property
@@ -97,32 +127,50 @@ class NumericSystem:
 
     # -- float views ---------------------------------------------------------
 
+    @cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only float A, stacked B (n x m) and stacked C (l x n), built once."""
+        A = np.array(self.A, dtype=float).reshape(self.n, self.n)
+        B = np.zeros((self.n, self.m))
+        C = np.zeros((self.l, self.n))
+        col = row = 0
+        for (m_i, l_i), B_i, C_i in zip(self.channels, self.B_blocks, self.C_blocks):
+            if m_i:
+                B[:, col : col + m_i] = np.array(B_i, dtype=float)
+            if l_i:
+                C[row : row + l_i] = np.array(C_i, dtype=float)
+            col += m_i
+            row += l_i
+        for M in (A, B, C):
+            M.setflags(write=False)
+        return A, B, C
+
+    @cached_property
+    def _channel_index(self) -> tuple[tuple[range, ...], tuple[range, ...]]:
+        """Per channel, its columns of the stacked B and its rows of the stacked C."""
+        cols, rows = [], []
+        col = row = 0
+        for m_i, l_i in self.channels:
+            cols.append(range(col, col + m_i))
+            rows.append(range(row, row + l_i))
+            col += m_i
+            row += l_i
+        return tuple(cols), tuple(rows)
+
     def A_array(self) -> np.ndarray:
-        return np.array(self.A, dtype=float) if self.n else np.zeros((0, 0))
+        return self._floats[0].copy()
 
     def B_array(self, s: ChannelSubset | None = None) -> np.ndarray:
-        idx = range(self.k) if s is None else s.members
-        cols = sum(self.channels[i][0] for i in idx)
-        out = np.zeros((self.n, cols))
-        at = 0
-        for i in idx:
-            m_i = self.channels[i][0]
-            if m_i:
-                out[:, at : at + m_i] = np.array(self.B_blocks[i], dtype=float)
-            at += m_i
-        return out
+        B = self._floats[1]
+        if s is None:
+            return B.copy()
+        return B[:, [j for i in s.members for j in self._channel_index[0][i]]]
 
     def C_array(self, s: ChannelSubset | None = None) -> np.ndarray:
-        idx = range(self.k) if s is None else s.members
-        rows = sum(self.channels[i][1] for i in idx)
-        out = np.zeros((rows, self.n))
-        at = 0
-        for i in idx:
-            l_i = self.channels[i][1]
-            if l_i:
-                out[at : at + l_i, :] = np.array(self.C_blocks[i], dtype=float)
-            at += l_i
-        return out
+        C = self._floats[2]
+        if s is None:
+            return C.copy()
+        return C[[j for i in s.members for j in self._channel_index[1][i]]]
 
 
 @dataclass(frozen=True)
@@ -209,6 +257,61 @@ def _cluster(values: Sequence[complex], radius: float) -> list[complex]:
     return [sum(g) / len(g) for g in clusters]
 
 
+def _one_channel_screen(
+    nsys: NumericSystem, lams: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks, one per lambda, of the channels that clear thr on each side.
+
+    Bit i of the first mask is set when sigma_n([lambda I - A, B_i]) > thr,
+    bit i of the second when sigma_n([lambda I - A; C_i]) > thr, with thr the
+    upper bound on every subset's rank threshold given in the module
+    docstring.  Each side is one batched SVD per channel.
+    """
+    A, B, C = nsys._floats
+    n = nsys.n
+    shifted = lams.reshape(-1, 1, 1) * np.eye(n) - A
+    frob2 = np.sum(np.abs(shifted) ** 2, axis=(1, 2)) + np.sum(B * B) + np.sum(C * C)
+    thr = tol * (n + max(nsys.m, nsys.l)) * np.sqrt(frob2)
+    b_pass = np.zeros(lams.size, dtype=np.int64)
+    c_pass = np.zeros(lams.size, dtype=np.int64)
+    for i, (cols, rows) in enumerate(zip(*nsys._channel_index)):
+        B_i = np.broadcast_to(B[:, cols], (lams.size, n, len(cols)))
+        sigma = np.linalg.svd(np.concatenate((shifted, B_i), axis=2), compute_uv=False)
+        b_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+        C_i = np.broadcast_to(C[rows], (lams.size, len(rows), n))
+        sigma = np.linalg.svd(np.concatenate((shifted, C_i), axis=1), compute_uv=False)
+        c_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+    return b_pass, c_pass
+
+
+def _witnesses(
+    nsys: NumericSystem, reps: Sequence[complex], tol: float
+) -> list[list[ChannelSubset]]:
+    """Per lambda in ``reps``, every subset whose pencil drops rank, in subset order."""
+    at = {z: j for j, z in enumerate(reps)}
+    partner = [at.get(z.conjugate()) if z.imag < 0 else None for z in reps]
+    tested = [j for j, p in enumerate(partner) if p is None]
+    lams = np.array([reps[j] for j in tested], dtype=complex)
+    b_pass, c_pass = _one_channel_screen(nsys, lams, tol)
+    A = nsys._floats[0]
+    witnesses: list[list[ChannelSubset]] = [[] for _ in reps]
+    for s in all_subsets(nsys.k):
+        bits = sum(1 << i for i in s.members)
+        # S is ruled out by a member passing on B or a non-member passing on C
+        open_ = np.flatnonzero(((b_pass & bits) == 0) & ((c_pass & ~bits) == 0))
+        if not open_.size:
+            continue
+        B_S = nsys.B_array(s)
+        C_compl = nsys.C_array(s.complement(nsys.k))
+        deficient = pencil_rank_deficient(A, B_S, C_compl, lams[open_], tol)
+        for t in open_[deficient]:
+            witnesses[tested[t]].append(s)
+    for j, p in enumerate(partner):
+        if p is not None:
+            witnesses[j] = witnesses[p]
+    return witnesses
+
+
 def fixed_spectrum(
     nsys: NumericSystem,
     tol: float = DEFAULT_RANK_TOL,
@@ -217,24 +320,16 @@ def fixed_spectrum(
     """All eigenvalues of A that some channel subset keeps fixed.
 
     Eigenvalues closer than cluster_tol are merged and tested once; subsets
-    are scanned by increasing cardinality, every witness retained.  Each
-    subset's pencils at all the merged eigenvalues go to one
-    ``pencil_rank_deficient`` call.
+    are scanned by increasing cardinality, every witness retained.  The
+    result is that of one ``pencil_rank_deficient`` test per (eigenvalue,
+    subset); conjugate sharing and the one-channel screen (module
+    docstring) skip the tests whose outcome is already decided.
     """
-    A = nsys.A_array()
-    eigs = np.linalg.eigvals(A)
+    eigs = np.linalg.eigvals(nsys._floats[0])
     reps = _cluster(list(map(complex, eigs)), cluster_tol)
-    lams = np.array(reps, dtype=complex)
-    witnesses: list[list[ChannelSubset]] = [[] for _ in reps]
-    for s in all_subsets(nsys.k):
-        B_S, C_compl = nsys.B_array(s), nsys.C_array(s.complement(nsys.k))
-        deficient = pencil_rank_deficient(A, B_S, C_compl, lams, tol)
-        for found, lam_witnesses in zip(deficient, witnesses):
-            if found:
-                lam_witnesses.append(s)
     fixed = [
         FixedEigenvalue(value=lam, witnesses=tuple(ws))
-        for lam, ws in zip(reps, witnesses)
+        for lam, ws in zip(reps, _witnesses(nsys, reps, tol))
         if ws
     ]
     return FixedSpectrumResult(
@@ -254,31 +349,32 @@ def random_feedback_oracle(
     keeps the eigenvalues that persist, within tol, across ``samples`` random
     block-diagonal gains with entries uniform in [-1, 1] scaled by the norm
     of A.  One-sided: may over-approximate with vanishing probability.
+
+    The gains are drawn one after another, channel by channel, and stacked
+    in chunks of 1, 2, 4, ... up to ORACLE_CHUNK for one ``eigvals`` call
+    each; the result equals that of testing them one at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    A = nsys.A_array()
-    B = nsys.B_array()
-    C = nsys.C_array()
+    A, B, C = nsys._floats
     scale = max(1.0, float(np.linalg.norm(A)))
     # the fixed spectrum is a set: merge repeated eigenvalues of A up front
     survivors = _cluster(list(map(complex, np.linalg.eigvals(A))), tol)
-    col_off = [0]
-    for _, l_i in nsys.channels:
-        col_off.append(col_off[-1] + l_i)
-    row_off = [0]
-    for m_i, _ in nsys.channels:
-        row_off.append(row_off[-1] + m_i)
-    for _ in range(samples):
-        if not survivors:
-            break
-        F = np.zeros((nsys.m, nsys.l))
-        for i, (m_i, l_i) in enumerate(nsys.channels):
-            for r in range(m_i):
-                for c in range(l_i):
-                    F[row_off[i] + r, col_off[i] + c] = rng.uniform(-scale, scale)
-        closed = A + B @ F @ C
-        eigs = np.linalg.eigvals(closed)
-        survivors = [z for z in survivors if np.min(np.abs(eigs - z)) <= tol]
+    # the block-diagonal slots of F, in drawing order
+    slots = [(r, c) for cols, rows in zip(*nsys._channel_index) for r in cols for c in rows]
+    f_rows = [r for r, _ in slots]
+    f_cols = [c for _, c in slots]
+    drawn, chunk = 0, 1
+    while survivors and drawn < samples:
+        size = min(chunk, samples - drawn)
+        gains = [rng.uniform(-scale, scale) for _ in range(size * len(slots))]
+        F = np.zeros((size, nsys.m, nsys.l))
+        F[:, f_rows, f_cols] = np.reshape(gains, (size, len(slots)))
+        eigs = np.linalg.eigvals(A + B @ F @ C)
+        gaps = np.abs(eigs[:, :, None] - np.array(survivors, dtype=complex))
+        kept = np.all(gaps.min(axis=1) <= tol, axis=0)
+        survivors = [z for z, keep in zip(survivors, kept) if keep]
+        drawn += size
+        chunk = min(2 * chunk, ORACLE_CHUNK)
     return survivors

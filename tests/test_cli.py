@@ -360,6 +360,20 @@ class TestMainEntry:
         code = main(["fixed-modes", str(worked_file), "--set", "p1=0.5"])
         assert code == EXIT_USAGE
 
+    def test_consecutive_calls_keep_their_own_assignments(self, worked_file, capsys):
+        """The parser is built once per process; no call sees another's --set values."""
+        base = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]
+        points = []
+        for value in ("2", "-3/2"):
+            assert main(base + [f"--set={n}={value}" for n in NAMES]) == EXIT_OK
+            points.append(json.loads(capsys.readouterr().out)["point"])
+        assert points == [{n: "2" for n in NAMES}, {n: "-3/2" for n in NAMES}]
+        # a call with only p1 set must not inherit p2..p4 from the calls before it
+        assert main(base + ["--set", "p1=5"]) == EXIT_USAGE
+        assert "missing parameter assignment(s): p2, p3, p4" in capsys.readouterr().err
+        assert main(base) == EXIT_USAGE
+        assert "p1, p2, p3, p4" in capsys.readouterr().err
+
 
 def _shared_demo_doc() -> dict:
     path = Path(__file__).resolve().parent.parent / "demos" / "systems" / "two_channel_shared.json"

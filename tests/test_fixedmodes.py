@@ -15,7 +15,14 @@ from sfspectrum import (
     rank_exact,
 )
 from sfspectrum.ensembles import random_numeric_system
-from sfspectrum.fixedmodes import _cluster, numeric_rank
+from sfspectrum import fixedmodes
+from sfspectrum.fixedmodes import (
+    ORACLE_CHUNK,
+    _cluster,
+    _one_channel_screen,
+    _witnesses,
+    numeric_rank,
+)
 from sfspectrum.system import all_subsets
 from conftest import chain_with_fixed_mode, spectra_match
 
@@ -153,6 +160,256 @@ class TestBatchedPencil:
             assert got == per_lambda_fixed_spectrum(ns)
             nonempty += bool(got)
         assert nonempty >= 10
+
+
+# -- test-local copies of the unscreened route and the one-gain-at-a-time oracle
+
+
+def old_B_array(nsys, members):
+    cols = sum(nsys.channels[i][0] for i in members)
+    out = np.zeros((nsys.n, cols))
+    at = 0
+    for i in members:
+        m_i = nsys.channels[i][0]
+        if m_i:
+            out[:, at : at + m_i] = np.array(nsys.B_blocks[i], dtype=float)
+        at += m_i
+    return out
+
+
+def old_C_array(nsys, members):
+    rows = sum(nsys.channels[i][1] for i in members)
+    out = np.zeros((rows, nsys.n))
+    at = 0
+    for i in members:
+        l_i = nsys.channels[i][1]
+        if l_i:
+            out[at : at + l_i, :] = np.array(nsys.C_blocks[i], dtype=float)
+        at += l_i
+    return out
+
+
+def old_witnesses(nsys, reps, tol=1e-9):
+    """Every representative tested against every subset, one batched call per subset."""
+    A = np.array(nsys.A, dtype=float)
+    lams = np.array(reps, dtype=complex)
+    witnesses = [[] for _ in reps]
+    for s in all_subsets(nsys.k):
+        B_S = old_B_array(nsys, s.members)
+        C_compl = old_C_array(nsys, s.complement(nsys.k).members)
+        for found, ws in zip(pencil_rank_deficient(A, B_S, C_compl, lams, tol), witnesses):
+            if found:
+                ws.append(s)
+    return witnesses
+
+
+def old_fixed_spectrum(nsys, tol=1e-9, cluster_tol=1e-6):
+    reps = _cluster(list(map(complex, np.linalg.eigvals(np.array(nsys.A, dtype=float)))),
+                    cluster_tol)
+    return [(lam, tuple(ws)) for lam, ws in zip(reps, old_witnesses(nsys, reps, tol)) if ws]
+
+
+def old_oracle_prefixes(nsys, samples, seed, tol=1e-6):
+    """Survivors of the one-gain-at-a-time oracle after 0, 1, ..., samples gains."""
+    rng = random.Random(seed)
+    A = np.array(nsys.A, dtype=float)
+    B = old_B_array(nsys, range(nsys.k))
+    C = old_C_array(nsys, range(nsys.k))
+    scale = max(1.0, float(np.linalg.norm(A)))
+    survivors = _cluster(list(map(complex, np.linalg.eigvals(A))), tol)
+    col_off = [0]
+    for _, l_i in nsys.channels:
+        col_off.append(col_off[-1] + l_i)
+    row_off = [0]
+    for m_i, _ in nsys.channels:
+        row_off.append(row_off[-1] + m_i)
+    prefixes = [survivors]
+    for _ in range(samples):
+        if not survivors:
+            break
+        F = np.zeros((nsys.m, nsys.l))
+        for i, (m_i, l_i) in enumerate(nsys.channels):
+            for r in range(m_i):
+                for c in range(l_i):
+                    F[row_off[i] + r, col_off[i] + c] = rng.uniform(-scale, scale)
+        eigs = np.linalg.eigvals(A + B @ F @ C)
+        survivors = [z for z in survivors if np.min(np.abs(eigs - z)) <= tol]
+        prefixes.append(survivors)
+    return prefixes + [[]] * (samples + 1 - len(prefixes))
+
+
+def screen_ensemble_system(rng):
+    """Small integer systems mixing the cases the screen and the oracle must get right.
+
+    Covers n = 1, k = 1, zero-width channels, A = cI, zero pencils (A, B and
+    C zero at lambda = 0), rotation blocks (complex fixed pairs), channels
+    confined to a slice of the state, and channels scaled by up to 10^6
+    either way, so one subset's rank threshold can dwarf another's.
+    """
+    n = rng.choice([1, 1, 2, 3, 4, 5, 6])
+    k = rng.choice([1, 1, 2, 2, 3, 3, 4])
+    channels = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(k)]
+    kind = rng.choice(["scalar", "rotations", "rotations", "confined", "zero", "dense"])
+
+    def cell():
+        return Fraction(0) if rng.random() < 0.45 else Fraction(rng.randint(-3, 3))
+
+    if kind == "scalar":
+        c = Fraction(rng.randint(-2, 2))
+        A = [[c if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    elif kind == "zero":
+        A = [[Fraction(0)] * n for _ in range(n)]
+    else:
+        A = [[cell() for _ in range(n)] for _ in range(n)]
+    if kind == "rotations":
+        for i in range(n):
+            for j in range(i + 1, n):
+                A[i][j] = Fraction(0)
+        for i in range(0, n - 1, 2):
+            if rng.random() < 0.6:
+                A[i][i + 1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3))
+                A[i + 1][i] = -A[i][i + 1] * rng.randint(1, 2)
+                A[i + 1][i + 1] = A[i][i]
+    B_blocks, C_blocks = [], []
+    for m_i, l_i in channels:
+        B = [[cell() for _ in range(m_i)] for _ in range(n)]
+        C = [[cell() for _ in range(n)] for _ in range(l_i)]
+        if kind in ("rotations", "confined") and n > 1:
+            lo = rng.randint(0, n - 1)
+            hi = rng.randint(lo, n - 1)
+            for i in range(n):
+                if not lo <= i <= hi:
+                    B[i] = [Fraction(0)] * m_i
+                    for row in C:
+                        row[i] = Fraction(0)
+        if kind == "zero" and rng.random() < 0.5:
+            B = [[Fraction(0)] * m_i for _ in range(n)]
+            C = [[Fraction(0)] * n for _ in range(l_i)]
+        scale = Fraction(10) ** rng.choice([0, 0, 0, 0, -3, 3, 6, -6])
+        if rng.random() < 0.5:
+            B = [[x * scale for x in row] for row in B]
+        else:
+            C = [[x * scale for x in row] for row in C]
+        B_blocks.append(B)
+        C_blocks.append(C)
+    return NumericSystem.build(A=A, B_blocks=B_blocks, C_blocks=C_blocks)
+
+
+SCREEN_ENSEMBLE = [screen_ensemble_system(random.Random(f"screen/{i}")) for i in range(500)]
+
+
+class TestScreenedFixedSpectrum:
+    """The screened route equals the unscreened one and skips only decided pairs."""
+
+    def test_equals_the_unscreened_route(self, classic_numeric):
+        systems = SCREEN_ENSEMBLE + [classic_numeric, chain_with_fixed_mode()]
+        complex_fixed = shared = 0
+        for ns in systems:
+            got = [(fe.value, fe.witnesses) for fe in fixed_spectrum(ns).fixed_eigenvalues]
+            assert got == old_fixed_spectrum(ns)
+            complex_fixed += sum(lam.imag != 0 for lam, _ in got)
+            shared += sum(lam.imag < 0 for lam, _ in got)
+        assert complex_fixed >= 20 and shared >= 10
+
+    def test_skipped_pairs_are_not_deficient(self):
+        skipped = kept = 0
+        for ns in SCREEN_ENSEMBLE:
+            A = ns.A_array()
+            lams = np.linalg.eigvals(A).astype(complex)
+            b_pass, c_pass = _one_channel_screen(ns, lams, 1e-9)
+            for s in all_subsets(ns.k):
+                bits = sum(1 << i for i in s.members)
+                ruled_out = ((b_pass & bits) != 0) | ((c_pass & ~bits) != 0)
+                full = pencil_rank_deficient(
+                    A, ns.B_array(s), ns.C_array(s.complement(ns.k)), lams
+                )
+                assert not np.any(full & ruled_out)
+                skipped += int(np.count_nonzero(ruled_out))
+                kept += int(np.count_nonzero(~ruled_out))
+        assert skipped > 2000 and kept > 0
+
+    def test_conjugate_sharing_needs_an_exact_partner(self, classic_numeric):
+        # 2 is fixed (witness {1}); 2 - 1e-20j has no exact partner and is
+        # tested itself, while 3 - 1j takes the witnesses of 3 + 1j
+        reps = [2 + 1j, 2 - 1e-20j, 3 + 1j, 3 - 1j, 1 - 1e-9j, 1.0]
+        got = _witnesses(classic_numeric, reps, 1e-9)
+        assert got == old_witnesses(classic_numeric, reps)
+        assert got[1] == [ChannelSubset.of(0)] and got[0] == []
+        for ns in SCREEN_ENSEMBLE[:100]:
+            eigs = list(map(complex, np.linalg.eigvals(ns.A_array())))
+            # conjugate pairs, and lower-half points whose partner is absent
+            reps = eigs + [complex(z.real, -abs(z.imag) - 1e-13) for z in eigs]
+            assert _witnesses(ns, reps, 1e-9) == old_witnesses(ns, reps)
+
+    def test_no_pencil_test_when_one_channel_sees_every_mode(self, monkeypatch):
+        calls = []
+        real = fixedmodes.pencil_rank_deficient
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fixedmodes, "pencil_rank_deficient", counted)
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            # channel 1 has the full state as input and output; others are random
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            extra = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 3))]
+            B_blocks = [eye] + [[[rng.randint(-1, 1) for _ in range(m)] for _ in range(n)]
+                                for m, _ in extra]
+            C_blocks = [eye] + [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(l)]
+                                for _, l in extra]
+            ns = NumericSystem.build(A=A, B_blocks=B_blocks, C_blocks=C_blocks)
+            assert fixed_spectrum(ns).is_empty
+        # a single-input, single-output companion channel also sees every mode
+        companion = NumericSystem.build(
+            A=[[0, 1, 0], [0, 0, 1], [6, -11, 6]],
+            B_blocks=[[[0], [0], [1]], [[1], [0], [0]]],
+            C_blocks=[[[1, 0, 0]], [[0, 0, 1]]],
+        )
+        assert fixed_spectrum(companion).is_empty
+        assert calls == []
+
+
+class TestBatchedOracle:
+    """Chunked gains give the survivors of the one-gain-at-a-time loop."""
+
+    COUNTS = (1, 2, 3, 63, 64, 65)
+
+    def test_equals_the_per_gain_loop(self):
+        persisted = 0
+        for i, ns in enumerate(SCREEN_ENSEMBLE):
+            tol = (1e-6, 1e-6, 1e-3, 0.3)[i % 4]
+            counts = self.COUNTS + (1000,) if i % 10 == 0 else self.COUNTS
+            prefixes = old_oracle_prefixes(ns, max(counts), seed=i, tol=tol)
+            for samples in counts:
+                got = random_feedback_oracle(ns, samples=samples, seed=i, tol=tol)
+                assert got == prefixes[samples], (i, samples)
+            persisted += bool(prefixes[max(counts)])
+        assert 0 < persisted < len(SCREEN_ENSEMBLE)
+
+    def test_every_gain_tested_in_stacks_of_at_most_64(self, monkeypatch):
+        depths = []
+        real = np.linalg.eigvals
+
+        def recorded(a):
+            depths.append(a.shape[0] if a.ndim == 3 else None)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        ns = chain_with_fixed_mode()  # 2 is fixed, so it survives every gain
+        for samples in self.COUNTS + (1000,):
+            depths.clear()
+            assert spectra_match(random_feedback_oracle(ns, samples=samples, seed=3), [2.0])
+            stacks = [d for d in depths if d is not None]
+            assert max(stacks) <= ORACLE_CHUNK and sum(stacks) == samples
+        # once nothing survives, no further gains are tested
+        depths.clear()
+        free = NumericSystem.build(A=[[1]], B_blocks=[[[1]]], C_blocks=[[[1]]])
+        assert random_feedback_oracle(free, samples=1000, seed=3) == []
+        assert [d for d in depths if d is not None] == [1]
 
 
 class TestFixedSpectrum:
