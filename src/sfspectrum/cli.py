@@ -523,7 +523,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("path", help="system file (JSON)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=10)
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=10,
+            help="cap on the sample points per randomized claim; sampling stops "
+            "earlier once the claim's failure bound is at most 2^-40 (default 10)",
+        )
         p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--format", choices=("text", "json"), default="text")

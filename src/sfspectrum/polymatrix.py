@@ -339,6 +339,10 @@ class ParamMatrix:
             out |= poly.params()
         return frozenset(out)
 
+    def degree(self) -> int:
+        """The largest total degree of an entry; 0 for the zero matrix."""
+        return max((poly.degree() for poly in self._entries.values()), default=0)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamMatrix):
             return NotImplemented

@@ -30,10 +30,43 @@ Three decision routes are provided:
 
 * the graphical route for binary parameterizations lives in ``graph``.
 
-No-SFS verdicts rest on an explicit certificate; SFS verdicts are correct up
-to the failure probability of the random sampling.  Every route samples
-uniformly in GF(p), so that is at most (degree) / p per trial, below 2^-40
-at desk scale.
+No-SFS verdicts rest on an explicit certificate and report failure bound 0.
+An SFS verdict rests on claims checked at independent uniform points of
+GF(p): a false claim survives a point only where a nonzero polynomial
+vanishes, with probability at most its degree over p (Schwartz, *JACM* 1980;
+Zippel 1979), so t points bound it by (degree / p)^t.  ``_confirm`` samples
+a claim until that bound, times the number of claims a false verdict may
+come from, is at most ``FAILURE_TARGET`` = 2^-40, or until ``trials``
+points; ``trials`` is a cap.  The verdict reports the bound it reached as
+``diagnostics["failure_bound"]``, a float rounded from an exact fraction of
+integers.  With d_A, d_B and d_C the largest entry degrees of A, the B
+blocks and the C blocks (``MultiChannelSystem.degrees``), and the entries of
+E, K and F free variables of degree 1:
+
+* Pencil drop of S.  If S drops nowhere for generic parameters, some E, K
+  moves every eigenvalue of A, so R = Res_lambda(chi(A), chi(A + B_S E +
+  K C)) is a nonzero polynomial in (x, E, K); a reported drop makes it
+  vanish.  The coefficient of lambda^(n-i) in chi(M) is a signed sum of
+  i x i principal minors, of degree at most i D with D = max(d_A, d_B + 1,
+  d_C + 1).  The resultant of two monic degree-n polynomials is the product
+  of their n^2 root differences, isobaric of weight n^2 when that
+  coefficient has weight i, so deg R <= n^2 D.  A false verdict needs one
+  of the 2^k subsets to drop at all its t points: 2^k (n^2 D / p)^t.
+* Rank deficiency of A + B F C: its entries have degree at most
+  max(d_A, d_B + d_C + 1), so det has degree at most n times that.
+* Zero transfer: an entry of C_compl A^j B_S (j < n) has degree at most
+  d_C + (n - 1) d_A + d_B.
+* Generic dimensions: a sampled maximum falls short only where a nonzero
+  maximal minor of the Krylov matrix [B_S, A B_S, ..., A^(n-1) B_S]
+  vanishes, of degree at most n (d_B + (n - 1) d_A), or its observability
+  counterpart, at most n (d_C + (n - 1) d_A); the sum bounds both.
+  A proper-subspace verdict is false only if one of the 2^k subsets gets a
+  false zero transfer or a short maximum, so these two claims stop at
+  2^(k+1) (degree / p)^t <= 2^-40 and the verdict reports 2^k times the sum.
+
+The bounds are over the draws, for the system's prime p; they take each
+polynomial to stay nonzero modulo p, as its p-integral coefficients ensure
+unless p divides all of them.
 """
 
 from __future__ import annotations
@@ -72,6 +105,9 @@ __all__ = [
 REASON_GENERIC_RANK = "generic-rank-deficient"
 REASON_PROPER_SUBSPACE = "proper-subspace"
 REASON_PENCIL_DROP = "pencil-drop-all-p"
+
+# Sampling of a claim stops once its failure bound is at most this.
+FAILURE_TARGET = Fraction(1, 2**40)
 
 @dataclass(frozen=True)
 class GenericDims:
@@ -198,6 +234,55 @@ def poly_gcd(a: list, b: list, modulus: int | None = None) -> list:
         inv = _inverse(a[0], p)
         a = [x * inv if p is None else x * inv % p for x in a]
     return a
+
+
+def _points(degree: int, p: int, trials: int, claims: int = 1) -> int:
+    """The fewest points t <= ``trials`` at which claims * (degree / p)^t is
+    at most FAILURE_TARGET (``trials`` when none is)."""
+    target = FAILURE_TARGET
+    t = 1
+    while t < trials and claims * degree**t * target.denominator > target.numerator * p**t:
+        t += 1
+    return t
+
+
+def _bound(degree: int, p: int, trials: int, claims: int = 1) -> Fraction:
+    """The failure bound claims * (degree / p)^t after ``_points`` points."""
+    t = _points(degree, p, trials, claims)
+    return Fraction(claims * degree**t, p**t)
+
+
+def _confirm(settles, degree: int, p: int, trials: int, claims: int = 1) -> Fraction | None:
+    """Sample a claim at independent points until its failure bound meets the target.
+
+    ``settles(t)`` tests the claim at the t-th point and returns True when
+    that point decides the question exactly.  Sampling stops there (the
+    result is None) or after ``_points`` points: the claim then stands
+    with the failure bound ``_bound``.
+    """
+    if any(settles(t) for t in range(_points(degree, p, trials, claims))):
+        return None
+    return _bound(degree, p, trials, claims)
+
+
+def _reported(bound: Fraction) -> float:
+    """A failure bound as a report value (a probability, so at most 1)."""
+    return float(min(bound, 1))
+
+
+def _rank_degree(sys: MultiChannelSystem) -> int:
+    d_A, d_B, d_C = sys.degrees
+    return sys.n * max(d_A, d_B + d_C + 1)
+
+
+def _markov_degree(sys: MultiChannelSystem) -> int:
+    d_A, d_B, d_C = sys.degrees
+    return d_C + (sys.n - 1) * d_A + d_B
+
+
+def _krylov_degree(sys: MultiChannelSystem) -> int:
+    d_A, d_B, d_C = sys.degrees
+    return sys.n * (d_B + d_C + 2 * (sys.n - 1) * d_A)
 
 
 def _uniform(rng: random.Random, rows: int, cols: int, p: int):
@@ -327,7 +412,10 @@ def decide_polynomial(
     when the system has no fixed mode there.  Otherwise each subset is
     tested at the points in turn: one point with no pencil drop discards it
     (exactly, for that point; for almost all parameters by genericity), and
-    the first subset dropping at every point is returned as witness.
+    the first subset dropping at every point it is tested at is returned as
+    witness.  A subset is tested at no more points than it takes to bring
+    2^k (n^2 D / p)^t to FAILURE_TARGET (module docstring), ``trials`` at
+    most.  Each sample records the sub-seed of its test.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -337,8 +425,10 @@ def decide_polynomial(
     labels = [[str(v) for v in values] for values in points]
     stacked = stack(sys)
     evaluated = [_evaluate(sys, stacked, points[0])]
+    subsets = sys.subsets()
     subset_diag = []
     witness = None
+    bound = Fraction(0)
     if _no_fixed_mode_at(sys, evaluated[0], rng):
         subset_diag = [
             {
@@ -346,32 +436,40 @@ def decide_polynomial(
                 "certified": True,
                 "samples": [{"point": labels[0], "pencil_drop": False}],
             }
-            for s in sys.subsets()
+            for s in subsets
         ]
     else:
-        for s in sys.subsets():
+        d_A, d_B, d_C = sys.degrees
+        degree = sys.n**2 * max(d_A, d_B + 1, d_C + 1)
+        for s in subsets:
             samples = []
-            certified = False
-            for t, values in enumerate(points):
+
+            def certifies(t):
                 if t == len(evaluated):
-                    evaluated.append(_evaluate(sys, stacked, values))
+                    evaluated.append(_evaluate(sys, stacked, points[t]))
+                sub_seed = rng.randrange(2**32)
                 drop = pencil_drop_at_point(
-                    sys, s, values, seed=rng.randrange(2**32), _point=evaluated[t]
+                    sys, s, points[t], seed=sub_seed, _point=evaluated[t]
                 )
-                samples.append({"point": labels[t], "pencil_drop": drop})
-                if not drop:
-                    certified = True
-                    break
+                samples.append({"point": labels[t], "pencil_drop": drop, "seed": sub_seed})
+                return not drop
+
+            confirmed = _confirm(certifies, degree, p, trials, claims=len(subsets))
             subset_diag.append(
-                {"subset": [i + 1 for i in s.members], "certified": certified, "samples": samples}
+                {
+                    "subset": [i + 1 for i in s.members],
+                    "certified": confirmed is None,
+                    "samples": samples,
+                }
             )
-            if not certified:
-                witness = s
+            if confirmed is not None:
+                witness, bound = s, confirmed
                 break
     diagnostics = {
         "trials": trials,
         "seed": seed,
         "subsets": subset_diag,
+        "failure_bound": _reported(bound),
         "semantics": (
             "no-SFS verdicts are certificate-exact at the sampled points; "
             "SFS verdicts hold up to the sampling failure probability"
@@ -420,16 +518,18 @@ def markov_identity(
     """True iff every product C_compl A^j B_S (j < n) is the zero polynomial matrix.
 
     Decided by polynomial identity testing: the products are evaluated at
-    random prime-field points; any nonzero entry is an exact refutation,
-    and all-zero results across the trials certify the identity up to a
-    vanishing failure probability.
+    random prime-field points; any nonzero entry is an exact refutation.
+    All-zero results confirm the identity once 2^(k+1) (degree / p)^t is at
+    most FAILURE_TARGET, degree = d_C + (n - 1) d_A + d_B (module
+    docstring), or after ``trials`` points.
     """
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
     if B_S.cols == 0 or C_compl.rows == 0:
         return True
     p = sys.prime
-    for _ in range(trials):
+
+    def refutes(_):
         values = [rng.randrange(p) for _ in range(sys.q)]
         A = sys.A.evaluate_at(values, p)
         M = B_S.evaluate_at(values, p)
@@ -437,9 +537,11 @@ def markov_identity(
         for _ in range(sys.n):
             prod = _mat_mul_mod(C, M, p)
             if any(x for row in prod for x in row):
-                return False
+                return True
             M = _mat_mul_mod(A, M, p)
-    return True
+        return False
+
+    return _confirm(refutes, _markov_degree(sys), p, trials, claims=2 ** (sys.k + 1)) is not None
 
 
 def _krylov_dim(rows, M, p: int) -> int:
@@ -494,7 +596,9 @@ def generic_dims(
     the set R reachable from those rows: its dimension is at most |R|.
     Likewise every row of C_compl A^j is supported on the set O of states
     from which C_compl's stored columns are reachable.  Once both maxima
-    reach |R| and |O| the answer is that of all ``trials`` points.
+    reach |R| and |O| they are exact.  Otherwise sampling stops once
+    2^(k+1) (degree / p)^t is at most FAILURE_TARGET, degree the sum of the
+    two Krylov minor degrees (module docstring), or after ``trials`` points.
     """
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
@@ -507,9 +611,10 @@ def generic_dims(
         backward.setdefault(i, []).append(j)
     ctrb_cap = len(_closure({i for (i, _), _ in B_S.items()}, forward))
     obs_cap = len(_closure({j for (_, j), _ in C_compl.items()}, backward))
-    best_ctrb = 0
-    best_obs = 0
-    for _ in range(trials):
+    best_ctrb = best_obs = 0
+
+    def reaches_caps(_):
+        nonlocal best_ctrb, best_obs
         values = [rng.randrange(p) for _ in range(sys.q)]
         A = sys.A.evaluate_at(values, p)
         if B_S.cols:
@@ -517,21 +622,30 @@ def generic_dims(
             best_ctrb = max(best_ctrb, _krylov_dim(columns, list(zip(*A)), p))
         if C_compl.rows:
             best_obs = max(best_obs, _krylov_dim(C_compl.evaluate_at(values, p), A, p))
-        if best_ctrb == ctrb_cap and best_obs == obs_cap:
-            break
+        return best_ctrb == ctrb_cap and best_obs == obs_cap
+
+    _confirm(reaches_caps, _krylov_degree(sys), p, trials, claims=2 ** (sys.k + 1))
     return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)
 
 
 def closed_loop_generic_rank(
     sys: MultiChannelSystem, trials: int = 10, seed: int = 0
 ) -> int:
-    """Generic rank of A + B F C over the joint (system, feedback) parameters."""
+    """Generic rank of A + B F C over the joint (system, feedback) parameters.
+
+    A full-rank point settles it; otherwise the maximum over the points
+    stands once (degree / p)^t is at most FAILURE_TARGET, degree =
+    n max(d_A, d_B + d_C + 1) (module docstring), or after ``trials``
+    points.
+    """
     fp = feedback_pattern(sys)
     B, C = stack(sys)
     rng = random.Random(seed)
     p = sys.prime
     best = 0
-    for _ in range(trials):
+
+    def full_rank(_):
+        nonlocal best
         values = [rng.randrange(p) for _ in range(sys.q)]
         f_values = [rng.randrange(p) for _ in range(fp.param_count)]
         closed = sys.A.evaluate_at(values, p)
@@ -541,8 +655,9 @@ def closed_loop_generic_rank(
             Fn = fp.F.evaluate_at(f_values, p)
             closed = _mat_add_mod(closed, _mat_mul_mod(_mat_mul_mod(Bn, Fn, p), Cn, p), p)
         best = max(best, rank_exact(closed, p))
-        if best == sys.n:
-            break
+        return best == sys.n
+
+    _confirm(full_rank, _rank_degree(sys), p, trials)
     return best
 
 
@@ -558,10 +673,15 @@ def decide_linear(
     below n, or some subset passes the zero-transfer identity while its
     generic controllable dimension is below the complement's generic
     unobservable dimension.  Raises NotLinearlyParameterized otherwise.
+    A no-SFS verdict is exact: a full-rank point, and per subset a nonzero
+    transfer or sampled dimensions that already rule it out (a sampled
+    controllable dimension is never above the generic one, a sampled
+    unobservable dimension never below).
     """
     if decomp is None:
         decomp = detect_linear_parameterization(sys)
     rng = random.Random(seed)
+    p = sys.prime
     g = closed_loop_generic_rank(sys, trials=trials, seed=rng.randrange(2**32))
     diagnostics: dict = {
         "trials": trials,
@@ -569,8 +689,10 @@ def decide_linear(
         "closed_loop_grank": g,
         "n": sys.n,
         "subsets": [],
+        "failure_bound": 0.0,
     }
     if g < sys.n:
+        diagnostics["failure_bound"] = _reported(_bound(_rank_degree(sys), p, trials))
         return StructuralVerdict(
             has_sfs=True,
             route="algebraic",
@@ -591,6 +713,12 @@ def decide_linear(
                 break
         diagnostics["subsets"].append(entry)
     if witness is not None:
+        # 2^k times the sum of the two per-subset bounds; each bound below
+        # carries the factor 2^(k+1) that its sampling stopped with
+        claims = 2 ** (sys.k + 1)
+        bound = _bound(_markov_degree(sys), p, trials, claims)
+        bound += _bound(_krylov_degree(sys), p, trials, claims)
+        diagnostics["failure_bound"] = _reported(bound / 2)
         return StructuralVerdict(
             has_sfs=True,
             route="algebraic",

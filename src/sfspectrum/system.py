@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .polymatrix import ParamMatrix, ParamPoly, evaluation_prime
@@ -147,6 +148,15 @@ class MultiChannelSystem:
 
     def subsets(self) -> list[ChannelSubset]:
         return all_subsets(self.k)
+
+    @cached_property
+    def degrees(self) -> tuple[int, int, int]:
+        """(d_A, d_B, d_C): the largest entry degree of A, of the B blocks, of the C blocks."""
+        return (
+            self.A.degree(),
+            max((B.degree() for B in self.B_blocks), default=0),
+            max((C.degree() for C in self.C_blocks), default=0),
+        )
 
 
 def stack(sys: MultiChannelSystem) -> tuple[ParamMatrix, ParamMatrix]:

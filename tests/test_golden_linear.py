@@ -133,22 +133,22 @@ def _linear(lo, hi):
 # group -> (builder of [(system, decide seed)], sha256)
 CASES = {
     "demos": (_demos,
-        "967996a7765460c3ebc77df864a1439a9dd2d7329bac5481c0fe42cd81ac957d",
+        "95ee7aadb5bcc99b4aa712fbfaa72ef751aa2d5f7022f6f770e488a09af8d16c",
     ),
     "conftest": (_conftest,
-        "08c6b90e2c44e11c8b560f789e918fbce6f22ea57da62ee852f858a2c5fcbda9",
+        "e0dab9f91318a90e5e081359d3e650b510e901464c2d96deb506644720be3496",
     ),
     "binary-00-24": (_binary(0, 25),
-        "f2e2e256bc546b718032e221a1fabc0e8c219c5b11d6d72b9dc2bdd3b04a0f93",
+        "2287a8f4522e673e6b1e39bbb1b4f63a110d3959f8b61222c702ffbf022a62cd",
     ),
     "binary-25-49": (_binary(25, 50),
-        "5e7adcbb6965b7dbd9677b65dfb320faa0fd8aa84267bcb762b43404cced53a1",
+        "62580eb918001b71737eacdec109d9a60185e6e6ace9482d93b1ae46b39696c7",
     ),
     "linear-00-19": (_linear(0, 20),
-        "841de4311974d7aee561e51fcc02a77094788692a6149e6c4608c9347040d0b8",
+        "f5776466f751613541b2a76526c01d958fdc6c90caeb1c04f91a5e027ee453a9",
     ),
     "linear-20-39": (_linear(20, 40),
-        "1956e303b71b8ed33c35af5fee6503e7ffbc4ae65e35c46a4a05a352fcd5ea82",
+        "9f6ab05973bece94417635bfa8a5e430fa129d71bfa2cfa88ddac20cea545be1",
     ),
 }
 

@@ -60,39 +60,39 @@ def _ensemble(seed):
 CASES = {
     "demo-two-channel-shared": (
         "two_channel_shared.json", 3,
-        "581f0fc1872423dc542ab63d9949acbea0a8afa446dd4af5229bc0c2c2bb5b61",
+        "b9753d93cf9326d7f2e46d03ac7cac5cc19c0230ed25765ad7e65fd284b47309",
     ),
     "demo-chain-fixed-mode": (
         "chain_fixed_mode.json", 0,
-        "0ba25d35e06a868292774e3abeed5aeca97bc350b23919c4ee8c2decd3c38137",
+        "773da9ddbf7e90fe1f689d24f1df9cd365469a74e6ad48b896a5c643a1a05a92",
     ),
     "ensemble-5": (
         _ensemble(5), 5,
-        "87b76ae7d8ad009b0612d17c5d9662c13e3b2e6e0e7e96084aa7fdfddda30b04",
+        "48a1c5aee573ec6a28199feedd5f5cd6275cebae997ba10b9e15e73b718ecca0",
     ),
     "ensemble-11": (
         _ensemble(11), 11,
-        "9d9c1764b6fd8c0a94c1b685a2c913531bcba5b733eb55f60201534fe2dfbdb3",
+        "c7c433cd19fcfe47765eadb5edd505f6154a32745cb1180ade890105750dc6d5",
     ),
     "ensemble-16": (
         _ensemble(16), 16,
-        "8ffc70a3fe200ebd648147caba53a3556dc91d35d9cf3e374bdd76d6c67644d3",
+        "4403f0d534eab7573bc60c5a8d6a4f3c48987bd78ca02b7d960a6ea782b1d704",
     ),
     "ensemble-20": (
         _ensemble(20), 20,
-        "c8138c20c27acb8c731e959fdb554e9ffc4fc39bad6cc45f786f1d974071550f",
+        "71d48971deac7f2348e8b36e96bd163ecda2d889c851cfe72fbc6617b4d52c20",
     ),
     "ensemble-29": (
         _ensemble(29), 29,
-        "52fc47c3b54d27e439f26698b1deeeee0fa5216c222c56840eb9b8c616c5dbb6",
+        "5e80ce0b5ba8e1dff19849156d83679513c9c9aec2782713867dfe01f2161bd8",
     ),
     "repeated-diagonal": (
         repeated_diagonal_counterexample, 2,
-        "ecbb3bbded800f7fd67caffe6ef00fc7265140031cc00684f09bf934e9ee6fbd",
+        "1c60426e61fc588b824b0a5fede323f940005da97f6a8c9221294b2fd721f14b",
     ),
     "polynomial-fractions": (
         polynomial_with_fractions, 7,
-        "501004b755538cc9e0c205953164d9d56e1ce0cb541d2c60c5d3fa812ab7f497",
+        "d1dce9834471d22091975a9e5f217a5ba9cd29815a643166364611de66ee354e",
     ),
 }
 

@@ -79,6 +79,21 @@ def outcome(verdict):
     return verdict.has_sfs, verdict.reason, verdict.witness
 
 
+def witness_points(sys_, trials):
+    """The fewest t <= trials with 2^k (n^2 D / p)^t <= 2^-40 (else trials),
+    D = max(d_A, d_B + 1, d_C + 1) from the largest entry degrees."""
+
+    def top(mats):
+        return max((poly.degree() for m in mats for _, poly in m.items()), default=0)
+
+    D = max(top([sys_.A]), top(sys_.B_blocks) + 1, top(sys_.C_blocks) + 1)
+    per_point = Fraction(sys_.n**2 * D, sys_.prime)
+    t = 1
+    while t < trials and 2**sys_.k * per_point**t > Fraction(1, 2**40):
+        t += 1
+    return t
+
+
 # -- systems ---------------------------------------------------------------------
 
 
@@ -258,27 +273,42 @@ class TestSharedPoints:
                 assert not pencil_drop_at_point(sys_, s, values, seed=rng.randrange(2**32))
 
     def test_subsets_sample_a_prefix_of_the_shared_points(self):
-        sfs = 0
-        for seed in range(80):
-            sys_ = random_polynomial_system(seed)
-            verdict = decide_polynomial(sys_, trials=6, seed=seed)
-            entries = verdict.diagnostics["subsets"]
-            if not verdict.has_sfs and len(entries[0]["samples"]) == 1 and all(
-                e["samples"] == entries[0]["samples"] for e in entries
-            ):
-                continue  # certified by the one-shot certificate
-            longest = max((e["samples"] for e in entries), key=len)
-            shared = [sample["point"] for sample in longest]
-            for entry in entries:
-                points = [sample["point"] for sample in entry["samples"]]
-                assert points == shared[: len(points)]
-                drops = [sample["pencil_drop"] for sample in entry["samples"]]
-                assert all(drops[:-1]) and drops[-1] == (not entry["certified"])
-            if verdict.has_sfs:
-                sfs += 1
-                assert len(longest) == 6 and not entries[-1]["certified"]
-                assert entries[-1]["subset"] == [i + 1 for i in verdict.witness.members]
-        assert sfs >= 10
+        """Every subset samples a prefix of the shared points; the witness
+        exactly the fewest t <= trials with 2^k (n^2 D / p)^t <= 2^-40.
+        Over the 61-bit prime that is one point; over GF(10007) it takes
+        several, and the cap of 6 trials cuts some short."""
+        for prime in (None, 10007):
+            sfs = 0
+            lengths = set()
+            for seed in range(80):
+                sys_ = random_polynomial_system(seed)
+                if prime is not None:
+                    object.__setattr__(sys_, "prime", prime)
+                verdict = decide_polynomial(sys_, trials=6, seed=seed)
+                entries = verdict.diagnostics["subsets"]
+                if not verdict.has_sfs and len(entries[0]["samples"]) == 1 and all(
+                    e["samples"] == entries[0]["samples"] for e in entries
+                ):
+                    continue  # certified by the one-shot certificate
+                longest = max((e["samples"] for e in entries), key=len)
+                shared = [sample["point"] for sample in longest]
+                for entry in entries:
+                    points = [sample["point"] for sample in entry["samples"]]
+                    assert points == shared[: len(points)]
+                    drops = [sample["pencil_drop"] for sample in entry["samples"]]
+                    assert all(drops[:-1]) and drops[-1] == (not entry["certified"])
+                if verdict.has_sfs:
+                    sfs += 1
+                    t = witness_points(sys_, trials=6)
+                    assert len(entries[-1]["samples"]) == len(longest) == t
+                    assert not entries[-1]["certified"]
+                    assert entries[-1]["subset"] == [i + 1 for i in verdict.witness.members]
+                    lengths.add(t)
+            assert sfs >= 10
+            if prime is None:
+                assert lengths == {1}
+            else:
+                assert min(lengths) > 1 and max(lengths) == 6 and len(lengths) > 1
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         """Counts: three evaluations (A, stacked B, stacked C) and one chi(A)

@@ -26,8 +26,10 @@ from sfspectrum.structural import (
     REASON_PENCIL_DROP,
     REASON_PROPER_SUBSPACE,
     GenericDims,
+    _krylov_degree,
     _krylov_dim,
     _mat_mul_mod,
+    _points,
     char_poly_exact,
     pencil_drop_at_point,
     poly_gcd,
@@ -585,13 +587,18 @@ class TestKrylovCap:
     @pytest.mark.parametrize("build", [_repeated_column_system, _rank_one_term_system,
                                        _ctrb_cap_met_system, _obs_cap_met_system])
     def test_every_point_when_the_cap_is_not_met(self, monkeypatch, build):
-        # one span below its cap keeps the sampling going, whatever the other does
+        # one span below its cap keeps the sampling going, whatever the other
+        # does, until the failure bound meets its target: at once over the
+        # 61-bit prime, after every one of the 7 points over GF(101)
         sys_ = build()
         s = ChannelSubset.of(0)
-        dims, points = _points_per_call(monkeypatch, sys_, s, trials=7)
-        assert (dims.ctrb_dim, sys_.n - dims.unobs_dim) != _caps(sys_, s)
-        assert dims == _generic_dims_full_krylov(sys_, s, trials=7, seed=11)
-        assert points == 7
+        for prime, expected in ((sys_.prime, 1), (101, 7)):
+            object.__setattr__(sys_, "prime", prime)
+            assert _points(_krylov_degree(sys_), prime, 7, 2 ** (sys_.k + 1)) == expected
+            dims, points = _points_per_call(monkeypatch, sys_, s, trials=7)
+            assert (dims.ctrb_dim, sys_.n - dims.unobs_dim) != _caps(sys_, s)
+            assert dims == _generic_dims_full_krylov(sys_, s, trials=expected, seed=11)
+            assert points == expected
 
 
 class TestDecideLinear:
