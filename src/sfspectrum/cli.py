@@ -36,7 +36,12 @@ from .graph import (
     enumerate_cycle_subgraphs,
 )
 from .polymatrix import FALLBACK_PRIME, FIELD_PRIME, ParamMatrix, ParamPoint, ParamPoly
-from .structural import closed_loop_generic_rank, decide_linear, decide_polynomial
+from .structural import (
+    closed_loop_generic_rank,
+    decide_linear,
+    decide_polynomial,
+    rank_failure_bound,
+)
 from .system import (
     ChannelSubset,
     MultiChannelSystem,
@@ -440,7 +445,12 @@ def cmd_crosscheck(
         "schema_version": SCHEMA_VERSION,
         "input": str(path),
         "settings": {"seed": seed, "trials": trials, "budget": budget},
-        "rank_route": {"closed_loop_grank": g, "n": system.n, "deficient": rank_deficient},
+        "rank_route": {
+            "closed_loop_grank": g,
+            "n": system.n,
+            "deficient": rank_deficient,
+            "failure_bound": rank_failure_bound(system, trials) if rank_deficient else 0.0,
+        },
         "graph_route": {
             "subgraph_count": len(subs),
             "class_count": len(classes),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .structural import (
     REASON_GENERIC_RANK,
@@ -71,6 +72,10 @@ class Arc:
     kind: str  # "A", "B", "C" or "F"
 
 
+# the dataclass order of arcs, as a sort key (cheaper than the generated __lt__)
+_ARC_ORDER = attrgetter("src", "dst", "color", "kind")
+
+
 @dataclass(frozen=True)
 class SystemGraph:
     """Colored multigraph with state/input/output vertex classes.
@@ -111,19 +116,20 @@ class SystemGraph:
         out: dict[int, list[Arc]] = {}
         for arc in self.arcs:
             out.setdefault(arc.src, []).append(arc)
-        return {src: tuple(sorted(arcs)) for src, arcs in out.items()}
+        return {src: tuple(sorted(arcs, key=_ARC_ORDER)) for src, arcs in out.items()}
 
 
 def _validate(g: SystemGraph) -> None:
     """Check the four structural properties of the colored graph."""
     b_colors, c_colors = set(), set()
+    transitions = {
+        "A": (g.is_state, g.is_state),
+        "B": (g.is_input, g.is_state),
+        "C": (g.is_state, g.is_output),
+        "F": (g.is_output, g.is_input),
+    }
     for arc in g.arcs:
-        classes = {
-            "A": (g.is_state, g.is_state),
-            "B": (g.is_input, g.is_state),
-            "C": (g.is_state, g.is_output),
-            "F": (g.is_output, g.is_input),
-        }[arc.kind]
+        classes = transitions[arc.kind]
         if not (classes[0](arc.src) and classes[1](arc.dst)):
             raise ValueError(f"arc {arc} violates vertex-class transitions")
         if arc.kind == "F":
@@ -203,7 +209,7 @@ def build_graph(
         q=q,
         feedback_colors=fp.param_count,
         channels=sys.channels,
-        arcs=tuple(sorted(arcs)),
+        arcs=tuple(sorted(arcs, key=_ARC_ORDER)),
     )
     _validate(g)
     return g

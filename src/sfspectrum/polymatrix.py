@@ -296,6 +296,16 @@ class ParamMatrix:
                 cleaned[(i, j)] = poly
         self._entries = cleaned
 
+    @classmethod
+    def _of_checked(
+        cls, rows: int, cols: int, entries: dict[tuple[int, int], ParamPoly], param_count: int
+    ) -> "ParamMatrix":
+        """A matrix over entries the constructor's checks already passed: nonzero
+        ParamPoly values in range, over at most ``param_count`` parameters."""
+        mat = object.__new__(cls)
+        mat.rows, mat.cols, mat.param_count, mat._entries = rows, cols, param_count, entries
+        return mat
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -416,7 +426,7 @@ class ParamMatrix:
             for (i, j), poly in m._entries.items():
                 entries[(i, j + offset)] = poly
             offset += m.cols
-        return ParamMatrix(rows, offset, entries, param_count)
+        return ParamMatrix._of_checked(rows, offset, entries, param_count)
 
     @staticmethod
     def vstack(mats: Iterable["ParamMatrix"]) -> "ParamMatrix":
@@ -433,7 +443,7 @@ class ParamMatrix:
             for (i, j), poly in m._entries.items():
                 entries[(i + offset, j)] = poly
             offset += m.rows
-        return ParamMatrix(offset, cols, entries, param_count)
+        return ParamMatrix._of_checked(offset, cols, entries, param_count)
 
     # -- evaluation ---------------------------------------------------------
 

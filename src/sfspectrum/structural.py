@@ -99,6 +99,7 @@ __all__ = [
     "markov_identity",
     "generic_dims",
     "closed_loop_generic_rank",
+    "rank_failure_bound",
     "structurally_controllable",
 ]
 
@@ -661,6 +662,15 @@ def closed_loop_generic_rank(
     return best
 
 
+def rank_failure_bound(sys: MultiChannelSystem, trials: int) -> float:
+    """The reported failure bound of a closed-loop rank below n.
+
+    The bound (degree / p)^t of ``closed_loop_generic_rank`` on a
+    rank-deficient claim, with degree = n max(d_A, d_B + d_C + 1).
+    """
+    return _reported(_bound(_rank_degree(sys), sys.prime, trials))
+
+
 def decide_linear(
     sys: MultiChannelSystem,
     decomp: LinearParamDecomposition | None = None,
@@ -692,7 +702,7 @@ def decide_linear(
         "failure_bound": 0.0,
     }
     if g < sys.n:
-        diagnostics["failure_bound"] = _reported(_bound(_rank_degree(sys), p, trials))
+        diagnostics["failure_bound"] = rank_failure_bound(sys, trials)
         return StructuralVerdict(
             has_sfs=True,
             route="algebraic",

@@ -6,12 +6,19 @@ algebraically independent parameters.  This module stacks and splits the
 channel blocks, builds the block-diagonal feedback pattern that decentralized
 output feedback admits, and classifies the parameterization (polynomial /
 linear / binary / unitary) by factoring each parameter's constant derivative
-matrix into a rank-one product.
+matrix of [A B; C 0] into a rank-one product.
+
+Detection reads the blocks in place: one pass over the stored entries of A,
+each B_i and each C_i, at their offsets in [A B; C 0], with no stacked copy.
+Each parameter is factored on its support only, and a term stores that
+support (the rows and columns it touches, with the nonzero entries of g and
+h there); the dense vectors g and h are derived views.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -228,17 +235,26 @@ def feedback_pattern(sys: MultiChannelSystem) -> FeedbackPattern:
 class RankOneTerm:
     """One rank-one term of a linear parameterization: D_r = outer(g, h).
 
-    ``rows`` and ``cols`` are the supports of g and h, ascending.
+    Only supports are stored: ``rows`` and ``cols`` are the supports of g
+    and h, ascending, and ``g_values`` and ``h_values`` the entries there
+    (g's first is 1).  The dense g (length n + l) and h (length n + m) are
+    derived views of the factored matrix's ``shape``.
     """
 
     param_index: int
-    g: tuple[Fraction, ...]  # length n + l column
-    h: tuple[Fraction, ...]  # length n + m row
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+    g_values: tuple[Fraction, ...]
+    h_values: tuple[Fraction, ...]
+    shape: tuple[int, int]
 
-    def derivative_entry(self, i: int, j: int) -> Fraction:
-        return self.g[i] * self.h[j]
+    @property
+    def g(self) -> tuple[Fraction, ...]:
+        return _dense(self.rows, self.g_values, self.shape[0])
+
+    @property
+    def h(self) -> tuple[Fraction, ...]:
+        return _dense(self.cols, self.h_values, self.shape[1])
 
 
 @dataclass(frozen=True)
@@ -257,102 +273,143 @@ class LinearParamDecomposition:
     is_binary: bool
     is_unitary: bool
 
-    def param_indices(self) -> frozenset[int]:
-        return frozenset(t.param_index for t in self.terms)
-
-
-def block_matrix(sys: MultiChannelSystem) -> ParamMatrix:
-    """The (n+l) x (n+m) block matrix [A B; C 0]."""
-    B, C = stack(sys)
-    top = ParamMatrix.hstack([sys.A, B])
-    bottom = ParamMatrix.hstack([C, ParamMatrix.zeros(sys.l, sys.m, sys.q)])
-    return ParamMatrix.vstack([top, bottom])
-
 
 _ZERO = Fraction(0)  # shared by every off-support position of g and h
+_ONE = Fraction(1)
+
+
+def _dense(support: tuple[int, ...], values: tuple[Fraction, ...], size: int) -> tuple:
+    """The length-``size`` vector with ``values`` on ``support``, zero elsewhere."""
+    out = [_ZERO] * size
+    for i, x in zip(support, values):
+        out[i] = x
+    return tuple(out)
 
 
 def _rank_one_factor(
-    d_entries: dict[tuple[int, int], Fraction], rows: int, cols: int, r: int
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Factor a rank-one derivative matrix as outer(g, h).
+    d_entries: dict[tuple[int, int], Fraction], r: int
+) -> tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...], tuple[Fraction, ...]]:
+    """Factor a nonzero derivative matrix as outer(g, h), on its support.
 
-    ``d_entries`` holds the nonzero entries only.  g is the first nonzero
-    column scaled so its first nonzero entry is 1; h is then the row of
-    scalars reproducing the matrix.  Both are filled from the stored
-    entries of that column and row.  Raises when the matrix has rank two or
-    more.  Once every stored entry equals g[i] h[j], the nonzero entries
-    all lie in supp(g) x supp(h), so outer(g, h) has no further nonzero
-    entry exactly when they fill that whole rectangle.
+    ``d_entries`` holds the nonzero entries only.  Returns (rows, g_values,
+    cols, h_values): the supports of g and h, ascending, and their entries
+    there.  g is the first nonzero column scaled so its first nonzero entry
+    (the pivot) is 1; h is then the pivot's row.  Raises when the matrix
+    has rank two or more, that is when some entry x at (i, j) has
+    x * pivot != column[i] * row[j], or the entries do not fill the
+    rectangle supp(g) x supp(h).  The check runs on the entries scaled to
+    integers by their common denominator.
     """
+    if len(d_entries) == 1:
+        ((i, j), x), = d_entries.items()
+        return (i,), (_ONE,), (j,), (x,)
     col_star = min(j for (_, j) in d_entries)
-    column = {i: x for (i, j), x in d_entries.items() if j == col_star}
-    i_star = min(column)
-    pivot = column[i_star]
-    g = [_ZERO] * rows
-    for i, x in column.items():
-        g[i] = x / pivot
-    # with g[i_star] = 1, the matching row gives h directly
-    row = {j: x for (i, j), x in d_entries.items() if i == i_star}
-    h = [_ZERO] * cols
-    for j, x in row.items():
-        h[j] = x
-    if len(d_entries) != len(column) * len(row) or any(
-        g[i] * h[j] != value for (i, j), value in d_entries.items()
+    rows = tuple(sorted(i for (i, j) in d_entries if j == col_star))
+    i_star = rows[0]
+    cols = tuple(sorted(j for (i, j) in d_entries if i == i_star))
+    scale = math.lcm(*(x.denominator for x in d_entries.values()))
+    z = {key: x.numerator * (scale // x.denominator) for key, x in d_entries.items()}
+    z_pivot = z[(i_star, col_star)]
+    # an entry outside the rectangle meets a zero product, as x * z_pivot != 0
+    if len(z) != len(rows) * len(cols) or any(
+        x * z_pivot != z.get((i, col_star), 0) * z.get((i_star, j), 0)
+        for (i, j), x in z.items()
     ):
         raise NotLinearlyParameterized(
             f"derivative matrix of parameter p{r + 1} has rank 2 or more",
             param_index=r,
         )
-    return tuple(g), tuple(h)
+    pivot = d_entries[(i_star, col_star)]
+    g_values = tuple(d_entries[(i, col_star)] for i in rows)
+    if pivot != 1:
+        g_values = tuple(x / pivot for x in g_values)
+    return rows, g_values, cols, tuple(d_entries[(i_star, j)] for j in cols)
 
 
-def rank_one_terms(Z: ParamMatrix) -> tuple[tuple[RankOneTerm, ...], bool, bool]:
-    """Rank-one terms of a homogeneous-linear block matrix Z.
+def _rank_one_terms(
+    blocks: list[tuple[ParamMatrix, int, int]], rows: int, cols: int
+) -> tuple[tuple[RankOneTerm, ...], bool, bool]:
+    """Rank-one terms of a rows x cols homogeneous-linear matrix, read in place.
 
-    Shared helper for the full [A B; C 0] matrix and the [A B] pair form.
-    Returns (terms, is_binary, is_unitary).
+    ``blocks`` lists (matrix, row offset, column offset): the stored entries
+    of each matrix, moved by its offsets, are the nonzero entries of the
+    whole matrix.  An entry that is not a homogeneous linear form raises;
+    of several, the first in (row, column) order is reported.  Returns
+    (terms, is_binary, is_unitary).
     """
     derivatives: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (i, j), poly in Z.items():
-        coeffs = poly.linear_coefficients()
-        if coeffs is None:
-            kind = "constant term" if poly.constant_term != 0 else "nonlinear entry"
-            raise NotLinearlyParameterized(
-                f"{kind} at row {i + 1}, column {j + 1}: {poly!r}",
-                param_index=None,
-            )
-        for r, coeff in coeffs.items():
-            derivatives.setdefault(r, {})[(i, j)] = coeff
+    first_bad = None
+    for mat, row_off, col_off in blocks:
+        for (i, j), poly in mat.items():
+            key = (i + row_off, j + col_off)
+            coeffs = poly.linear_coefficients()
+            if coeffs is None:
+                if first_bad is None or key < first_bad[0]:
+                    first_bad = (key, poly)
+                continue
+            for r, coeff in coeffs.items():
+                derivatives.setdefault(r, {})[key] = coeff
+    if first_bad is not None:
+        (i, j), poly = first_bad
+        kind = "constant term" if poly.constant_term != 0 else "nonlinear entry"
+        raise NotLinearlyParameterized(
+            f"{kind} at row {i + 1}, column {j + 1}: {poly!r}",
+            param_index=None,
+        )
     terms = []
     is_binary = True
     is_unitary = True
     for r in sorted(derivatives):
-        g, h = _rank_one_factor(derivatives[r], Z.rows, Z.cols, r)
-        support = derivatives[r]
-        # the support fills supp(g) x supp(h) exactly (checked by the factoring)
-        rows = tuple(sorted({i for i, _ in support}))
-        cols = tuple(sorted({j for _, j in support}))
-        if any(value not in (0, 1) for value in support.values()):
+        support_rows, g_values, support_cols, h_values = _rank_one_factor(derivatives[r], r)
+        # binary: every entry g[i] h[j] is 1, so (as g's pivot is 1) every g and h value is
+        if is_binary and any(x != 1 for x in g_values + h_values):
             is_binary = False
-        if len(support) != 1 or next(iter(support.values())) != 1:
+        if len(derivatives[r]) != 1 or h_values[0] != 1:
             is_unitary = False
-        terms.append(RankOneTerm(param_index=r, g=g, h=h, rows=rows, cols=cols))
+        terms.append(
+            RankOneTerm(
+                param_index=r,
+                rows=support_rows,
+                cols=support_cols,
+                g_values=g_values,
+                h_values=h_values,
+                shape=(rows, cols),
+            )
+        )
     return tuple(terms), is_binary, is_unitary
+
+
+def rank_one_terms(Z: ParamMatrix) -> tuple[tuple[RankOneTerm, ...], bool, bool]:
+    """Rank-one terms of a homogeneous-linear matrix Z, such as the pair [A B].
+
+    Returns (terms, is_binary, is_unitary).
+    """
+    return _rank_one_terms([(Z, 0, 0)], Z.rows, Z.cols)
 
 
 def detect_linear_parameterization(sys: MultiChannelSystem) -> LinearParamDecomposition:
     """Decompose [A B; C 0] into rank-one parameter terms, or raise.
 
-    Raises NotLinearlyParameterized when an entry is not a homogeneous
-    linear form or some parameter's derivative matrix has rank two or more
-    (which also catches a parameter appearing in both B and C).
+    The blocks are read in place: A at (0, 0), B_i and C_i at their
+    offsets in the stacked input columns and output rows.  Raises
+    NotLinearlyParameterized when an entry is not a homogeneous linear
+    form or some parameter's derivative matrix has rank two or more (which
+    also catches a parameter appearing in both B and C).
     """
-    Z = block_matrix(sys)
-    terms, is_binary, is_unitary = rank_one_terms(Z)
+    n = sys.n
+    blocks = [(sys.A, 0, 0)]
+    offset = n
+    for B_i in sys.B_blocks:
+        blocks.append((B_i, 0, offset))
+        offset += B_i.cols
+    offset = n
+    for C_i in sys.C_blocks:
+        blocks.append((C_i, offset, 0))
+        offset += C_i.rows
+    terms, is_binary, is_unitary = _rank_one_terms(blocks, n + sys.l, n + sys.m)
     return LinearParamDecomposition(
         terms=terms,
-        n=sys.n,
+        n=n,
         m=sys.m,
         l=sys.l,
         is_binary=is_binary,

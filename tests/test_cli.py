@@ -21,6 +21,7 @@ from sfspectrum.cli import (
     report_json,
     serialize_system,
 )
+from sfspectrum import MultiChannelSystem, ParamMatrix, ParamPoly, decide_linear
 from sfspectrum.ensembles import random_binary_system
 from sfspectrum.polymatrix import FALLBACK_PRIME, FIELD_PRIME
 from conftest import (
@@ -252,6 +253,34 @@ class TestCrosscheck:
         assert report["agree"] is True
         assert report["rank_route"]["deficient"] is False
         assert report["graph_route"]["no_unbalanced_class"] is False
+
+    def test_full_rank_reports_zero_bound(self, worked_file):
+        report, _ = cmd_crosscheck(worked_file, seed=5)
+        assert report["rank_route"]["failure_bound"] == 0.0
+
+    def test_deficient_rank_reports_the_algebraic_bound(self, tmp_path):
+        # x2 has no incoming arc, so A + B F C keeps a zero second row
+        q = 3
+        sys_ = MultiChannelSystem(
+            n=2,
+            channels=((1, 1),),
+            A=ParamMatrix.from_rows([[ParamPoly.param(0), 0], [0, 0]], q),
+            B_blocks=(ParamMatrix.from_rows([[ParamPoly.param(1)], [0]], q),),
+            C_blocks=(ParamMatrix.from_rows([[ParamPoly.param(2), 0]], q),),
+            q=q,
+        )
+        path = tmp_path / "deficient.json"
+        path.write_text(json.dumps(serialize_system(sys_, NAMES[:q])), encoding="utf-8")
+        for trials in (1, 10):
+            report, code = cmd_crosscheck(path, seed=4, trials=trials)
+            assert code == EXIT_OK
+            rank = report["rank_route"]
+            assert rank["deficient"] is True and rank["closed_loop_grank"] == 1
+            # degree n max(d_A, d_B + d_C + 1) = 2 * 3 at one point of the system prime
+            assert rank["failure_bound"] == float(Fraction(6, FIELD_PRIME))
+            verdict = decide_linear(sys_, trials=trials, seed=4)
+            assert verdict.reason == "generic-rank-deficient"
+            assert rank["failure_bound"] == verdict.diagnostics["failure_bound"]
 
     def test_random_corpus_agrees(self, tmp_path):
         for seed in range(8):
