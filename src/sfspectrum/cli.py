@@ -560,7 +560,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="assign a parameter an exact rational value (repeatable)",
     )
     p_fixed.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
-    p_fixed.add_argument("--samples", type=int, default=1000)
+    p_fixed.add_argument(
+        "--samples",
+        type=int,
+        default=1000,
+        help="random gains the oracle may draw; eigenvalues of gain-free components need none",
+    )
     p_fixed.add_argument("--seed", type=int, default=0)
     p_fixed.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -29,9 +29,21 @@ outcome is open:
   whose sigma_n rounds onto its own threshold could be decided otherwise,
   and there the full test itself is not reproducible.
 
-``random_feedback_oracle`` draws the same gains, in the same order, as a
-one-gain-at-a-time loop would, and stacks them in chunks of 1, 2, 4, ... up
-to 64 gains for one ``eigvals`` call each.
+``random_feedback_oracle`` solves only the part of a closed loop a gain can
+move.  Let P be (A != 0) together with rowsupp(B_i) x colsupp(C_i) for every
+channel i.  An entry of A + B F C outside P is an exact float zero for every
+block-diagonal F: each product in its sum has an exact-zero factor.  So one
+symmetric permutation, to the order of P's strongly connected components,
+makes every closed loop block upper triangular, and its spectrum is the
+union of the spectra of the diagonal blocks.  A component with no entry of
+any rowsupp(B_i) x colsupp(C_i) inside is gain-free: its block equals A's,
+bit for bit, under every F.  The eigenvalues of A over the gain-free states
+are computed once; an eigenvalue of A within tol of one of them is pinned
+(it is in every closed loop) and needs no gain.  Every other eigenvalue is
+more than tol from all pinned ones, so it survives a gain exactly when the
+closed loop over the gain-touched states keeps it.  Those loops use the
+gains a one-gain-at-a-time loop would draw, in the same order, stacked in
+chunks of 1, 2, 4, ... up to 64 gains for one ``eigvals`` call each.
 """
 
 from __future__ import annotations
@@ -51,7 +63,6 @@ __all__ = [
     "NumericSystem",
     "FixedEigenvalue",
     "FixedSpectrumResult",
-    "numeric_rank",
     "pencil_rank_deficient",
     "fixed_spectrum",
     "random_feedback_oracle",
@@ -199,17 +210,6 @@ class FixedSpectrumResult:
         return not self.fixed_eigenvalues
 
 
-def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank by SVD; a singular value counts if above tol * sigma_max * max(shape)."""
-    if M.size == 0:
-        return 0
-    sigma = np.linalg.svd(M, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    threshold = tol * sigma[0] * max(M.shape)
-    return int(np.count_nonzero(sigma > threshold))
-
-
 def pencil_rank_deficient(
     A: np.ndarray,
     B_S: np.ndarray,
@@ -221,9 +221,9 @@ def pencil_rank_deficient(
 
     ``lam`` is a complex number, or a 1-D array of them; an array gives a
     bool array, one entry per lambda.  The pencils are stacked and ranked
-    by one batched SVD, each against its own threshold
-    tol * sigma_max * max(shape), as ``numeric_rank`` does (so a zero
-    pencil has rank 0).
+    by one batched SVD.  A singular value counts toward a pencil's rank
+    when it exceeds that pencil's own threshold tol * sigma_max *
+    max(shape), so a zero pencil has rank 0.
     """
     lams = np.asarray(lam, dtype=complex)
     n = A.shape[0]
@@ -337,6 +337,24 @@ def fixed_spectrum(
     )
 
 
+def _gain_free_states(nsys: NumericSystem) -> np.ndarray:
+    """Mask of the states in a strongly connected component of P with no gain entry.
+
+    P = (A != 0) | G, with G the union of rowsupp(B_i) x colsupp(C_i): the
+    entries a block-diagonal gain can reach.  Reachability is closed by
+    repeated squaring; states reaching each other share a component.
+    """
+    A, B, C = nsys._floats
+    gain = np.zeros((nsys.n, nsys.n), dtype=bool)
+    for cols, rows in zip(*nsys._channel_index):
+        gain |= np.outer(B[:, cols].any(axis=1), C[rows].any(axis=0))
+    reach = (A != 0) | gain | np.eye(nsys.n, dtype=bool)
+    for _ in range((nsys.n - 1).bit_length()):
+        reach = reach @ reach
+    component = reach & reach.T
+    return ~np.any((component @ gain) & component, axis=1)
+
+
 def random_feedback_oracle(
     nsys: NumericSystem,
     samples: int = 1000,
@@ -346,13 +364,18 @@ def random_feedback_oracle(
     """Definition-level oracle: intersect closed-loop spectra over random gains.
 
     Starts from the spectrum of A itself (zero feedback is admissible) and
-    keeps the eigenvalues that persist, within tol, across ``samples`` random
+    keeps the eigenvalues that persist, within tol, across random
     block-diagonal gains with entries uniform in [-1, 1] scaled by the norm
     of A.  One-sided: may over-approximate with vanishing probability.
 
-    The gains are drawn one after another, channel by channel, and stacked
-    in chunks of 1, 2, 4, ... up to ORACLE_CHUNK for one ``eigvals`` call
-    each; the result equals that of testing them one at a time.
+    ``samples`` is the number of gains the loop may draw.  Every closed loop
+    is block upper triangular in the component order of its pattern (module
+    docstring), so an eigenvalue within tol of the spectrum of A over the
+    gain-free components is pinned: it is in every closed loop and needs no
+    gain.  The others are tested on the closed loop over the gain-touched
+    states only, with the gains drawn one after another, channel by channel,
+    and stacked in chunks of 1, 2, 4, ... up to ORACLE_CHUNK for one
+    ``eigvals`` call each.  The loop stops once none of them survives.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -361,20 +384,28 @@ def random_feedback_oracle(
     scale = max(1.0, float(np.linalg.norm(A)))
     # the fixed spectrum is a set: merge repeated eigenvalues of A up front
     survivors = _cluster(list(map(complex, np.linalg.eigvals(A))), tol)
+    values = np.array(survivors, dtype=complex)
+    free = _gain_free_states(nsys)
+    pins = np.linalg.eigvals(A[np.ix_(free, free)]) if free.any() else values[:0]
+    pinned = np.any(np.abs(values[:, None] - pins) <= tol, axis=1)
+    touched = ~free
+    # with no gain-touched state every closed loop has A's spectrum: nothing to test
+    live = np.flatnonzero(~pinned & touched.any())
+    A_t, B_t, C_t = A[np.ix_(touched, touched)], B[touched], C[:, touched]
     # the block-diagonal slots of F, in drawing order
     slots = [(r, c) for cols, rows in zip(*nsys._channel_index) for r in cols for c in rows]
     f_rows = [r for r, _ in slots]
     f_cols = [c for _, c in slots]
     drawn, chunk = 0, 1
-    while survivors and drawn < samples:
+    while live.size and drawn < samples:
         size = min(chunk, samples - drawn)
         gains = [rng.uniform(-scale, scale) for _ in range(size * len(slots))]
         F = np.zeros((size, nsys.m, nsys.l))
         F[:, f_rows, f_cols] = np.reshape(gains, (size, len(slots)))
-        eigs = np.linalg.eigvals(A + B @ F @ C)
-        gaps = np.abs(eigs[:, :, None] - np.array(survivors, dtype=complex))
-        kept = np.all(gaps.min(axis=1) <= tol, axis=0)
-        survivors = [z for z, keep in zip(survivors, kept) if keep]
+        eigs = np.linalg.eigvals(A_t + B_t @ F @ C_t)
+        gaps = np.abs(eigs[:, :, None] - values[live])
+        live = live[np.all(gaps.min(axis=1) <= tol, axis=0)]
         drawn += size
         chunk = min(2 * chunk, ORACLE_CHUNK)
-    return survivors
+    pinned[live] = True
+    return [z for z, keep in zip(survivors, pinned) if keep]

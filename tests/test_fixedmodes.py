@@ -19,9 +19,9 @@ from sfspectrum import fixedmodes
 from sfspectrum.fixedmodes import (
     ORACLE_CHUNK,
     _cluster,
+    _gain_free_states,
     _one_channel_screen,
     _witnesses,
-    numeric_rank,
 )
 from sfspectrum.system import all_subsets
 from conftest import chain_with_fixed_mode, spectra_match
@@ -53,6 +53,17 @@ class TestPencil:
         assert pencil_rank_deficient(A, B_S, C_compl, 2.0)
         assert not pencil_rank_deficient(A, B_S, C_compl, 1.0)
         assert not pencil_rank_deficient(A, B_S, C_compl, 3.0)
+
+
+def numeric_rank(M, tol=1e-9):
+    """Reference: rank by SVD; a singular value counts if above tol * sigma_max * max(shape)."""
+    if M.size == 0:
+        return 0
+    sigma = np.linalg.svd(M, compute_uv=False)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    threshold = tol * sigma[0] * max(M.shape)
+    return int(np.count_nonzero(sigma > threshold))
 
 
 def scalar_pencil_rank_deficient(A, B_S, C_compl, lam, tol=1e-9):
@@ -399,12 +410,27 @@ class TestBatchedOracle:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
-        ns = chain_with_fixed_mode()  # 2 is fixed, so it survives every gain
+        # 1 is fixed inside the one gain-touched component, so every gain is solved
+        touched = NumericSystem.build(A=[[1, 0], [0, 1]], B_blocks=[[[1], [1]]],
+                                      C_blocks=[[[1, 1]]])
+        for samples in self.COUNTS + (1000,):
+            depths.clear()
+            assert spectra_match(random_feedback_oracle(touched, samples=samples, seed=3), [1.0])
+            stacks = [d for d in depths if d is not None]
+            assert max(stacks) <= ORACLE_CHUNK and sum(stacks) == samples
+        # the chain's 2 is a gain-free singleton, pinned without a gain solve;
+        # 1 and 3 are gone after the first gain
+        ns = chain_with_fixed_mode()
         for samples in self.COUNTS + (1000,):
             depths.clear()
             assert spectra_match(random_feedback_oracle(ns, samples=samples, seed=3), [2.0])
-            stacks = [d for d in depths if d is not None]
-            assert max(stacks) <= ORACLE_CHUNK and sum(stacks) == samples
+            assert [d for d in depths if d is not None] == [1]
+        # a gain that only couples two components moves neither eigenvalue
+        depths.clear()
+        across = NumericSystem.build(A=[[5, 0], [1, 7]], B_blocks=[[[0], [1]]],
+                                     C_blocks=[[[1, 0]]])
+        assert spectra_match(random_feedback_oracle(across, samples=1000, seed=3), [5.0, 7.0])
+        assert [d for d in depths if d is not None] == []
         # once nothing survives, no further gains are tested
         depths.clear()
         free = NumericSystem.build(A=[[1]], B_blocks=[[[1]]], C_blocks=[[[1]]])
@@ -412,6 +438,168 @@ class TestBatchedOracle:
         assert [d for d in depths if d is not None] == [1]
 
 
+def block_triangular_system(rng):
+    """A system whose closed loops are block lower triangular in a hidden state order.
+
+    Blocks of 1-3 states: constant multiples of I, lower-triangular chains,
+    rotations (complex pairs) and dense blocks, with A nonzero off them only
+    below the diagonal blocks.  Each channel has a home block: its B rows lie
+    in that block or later ones and its C columns in that block or earlier
+    ones, so its gains keep the triangular order and act inside the home
+    block only.  Some states are planted uncontrollable or unobservable,
+    channels are scaled by 10^6 or 10^-6, and a random symmetric
+    permutation hides the order.
+    """
+    sizes = [rng.choice([1, 1, 2, 2, 3, 3]) for _ in range(rng.randint(1, 4))]
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    A = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        states = range(start, start + size)
+        kind = rng.choice(["scalar", "scalar", "chain", "rotation", "dense"])
+        if kind == "rotation" and size != 2:
+            kind = "chain"
+        c = rng.randint(-3, 3)
+        for i in states:
+            for j in states:
+                if kind == "scalar":
+                    A[i][j] = Fraction(c * (i == j))
+                elif kind == "chain":
+                    A[i][j] = Fraction(rng.randint(-3, 3) if j < i else c * (i == j))
+                elif kind == "dense":
+                    A[i][j] = Fraction(rng.randint(-3, 3))
+        if kind == "rotation":
+            b = rng.choice([-2, -1, 1, 2])
+            A[start][start] = A[start + 1][start + 1] = Fraction(c)
+            A[start][start + 1] = Fraction(b)
+            A[start + 1][start] = Fraction(-b * rng.randint(1, 3))
+        start += size
+    for i in range(n):
+        for j in range(n):
+            if block[j] < block[i] and rng.random() < 0.3:
+                A[i][j] = Fraction(rng.randint(-3, 3))
+    B_blocks, C_blocks = [], []
+    for _ in range(rng.randint(1, 3)):
+        home = rng.randrange(len(sizes))
+        m_i, l_i = rng.choice([1, 1, 2]), rng.choice([1, 1, 2])
+        B = [[Fraction(rng.randint(-2, 2)) if block[r] >= home and rng.random() < 0.6
+              else Fraction(0) for _ in range(m_i)] for r in range(n)]
+        C = [[Fraction(rng.randint(-2, 2)) if block[c] <= home and rng.random() < 0.6
+              else Fraction(0) for c in range(n)] for _ in range(l_i)]
+        scale = Fraction(10) ** rng.choice([0, 0, 0, 6, -6])
+        if rng.random() < 0.5:
+            B = [[x * scale for x in row] for row in B]
+        else:
+            C = [[x * scale for x in row] for row in C]
+        B_blocks.append(B)
+        C_blocks.append(C)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        s = rng.randrange(n)
+        if rng.random() < 0.5:  # uncontrollable: A row and B rows zero off the diagonal
+            A[s] = [A[s][j] if j == s else Fraction(0) for j in range(n)]
+            for B in B_blocks:
+                B[s] = [Fraction(0)] * len(B[s])
+        else:  # unobservable: A column and C columns zero off the diagonal
+            for i in range(n):
+                if i != s:
+                    A[i][s] = Fraction(0)
+            for C in C_blocks:
+                for row in C:
+                    row[s] = Fraction(0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return NumericSystem.build(
+        A=[[A[i][j] for j in perm] for i in perm],
+        B_blocks=[[B[i] for i in perm] for B in B_blocks],
+        C_blocks=[[[row[j] for j in perm] for row in C] for C in C_blocks],
+    )
+
+
+BLOCK_ENSEMBLE = [block_triangular_system(random.Random(f"blocks/{i}")) for i in range(150)]
+
+
+def reference_gain_free_states(nsys):
+    """Test-local mask: reachability by search, components by mutual reachability."""
+    A, B, C = nsys.A_array(), nsys.B_array(), nsys.C_array()
+    n = nsys.n
+    gain = set()
+    row = col = 0
+    for m_i, l_i in nsys.channels:
+        for r in range(n):
+            for c in range(n):
+                if np.any(B[r, col : col + m_i]) and np.any(C[row : row + l_i, c]):
+                    gain.add((r, c))
+        col += m_i
+        row += l_i
+    succ = [{j for j in range(n) if A[i, j] != 0 or (i, j) in gain} for i in range(n)]
+
+    def reachable(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        return seen
+
+    reach = [reachable(s) for s in range(n)]
+    component = [{t for t in reach[s] if s in reach[t]} for s in range(n)]
+    return np.array([not any(r in component[s] and c in component[s] for r, c in gain)
+                     for s in range(n)])
+
+
+class TestPinnedOracle:
+    """Eigenvalues of gain-free components are pinned; the result is the per-gain loop's."""
+
+    def test_mask_equals_the_reference(self, classic_numeric):
+        systems = BLOCK_ENSEMBLE + SCREEN_ENSEMBLE + [classic_numeric, chain_with_fixed_mode()]
+        # an n-cycle is one component, reached only through paths of n - 1 arcs;
+        # cut at one arc it falls apart into singletons
+        for n in range(2, 11):
+            for cut in (False, True):
+                A = [[int(j == (i + 1) % n and not (cut and i == n - 1)) for j in range(n)]
+                     for i in range(n)]
+                at = [int(i == n // 2) for i in range(n)]  # one channel at one state
+                systems.append(NumericSystem.build(A=A, B_blocks=[[[x] for x in at]],
+                                                   C_blocks=[[at]]))
+        partial = 0
+        for ns in systems:
+            free = _gain_free_states(ns)
+            assert free.tolist() == reference_gain_free_states(ns).tolist()
+            partial += 0 < np.count_nonzero(free) < ns.n
+        assert partial >= 50
+
+    def test_equals_the_per_gain_loop(self):
+        """Equal survivors, except where the per-gain loop loses a pinned fixed mode.
+
+        With channels scaled by 10^6 a closed loop's norm reaches ~10^12.
+        Next to a defective eigenvalue, whose computed eigenvalues split by
+        about (eps * norm)^(1/multiplicity), the per-gain loop can then move
+        an eigenvalue of a gain-free block by more than tol and drop it.
+        Pinning keeps it, since that block is in every closed loop; the
+        pencil route confirms it is fixed.
+        """
+        both = none = 0
+        for i, ns in enumerate(BLOCK_ENSEMBLE):
+            tol = (1e-6, 1e-6, 1e-3)[i % 3]
+            counts = TestBatchedOracle.COUNTS + (1000,)
+            prefixes = old_oracle_prefixes(ns, max(counts), seed=i, tol=tol)
+            free = reference_gain_free_states(ns)
+            pins = np.linalg.eigvals(ns.A_array()[np.ix_(free, free)]) if free.any() else []
+            for samples in counts:
+                got = random_feedback_oracle(ns, samples=samples, seed=i, tol=tol)
+                old = prefixes[samples]
+                if got != old:
+                    assert [z for z in got if z in old] == old, (i, samples)
+                    fixed = fixed_spectrum(ns).values()
+                    for z in got:
+                        if z not in old:
+                            assert any(abs(z - w) <= tol for w in pins), (i, samples, z)
+                            assert any(abs(z - w) <= tol for w in fixed), (i, samples, z)
+            pinned = [any(abs(z - w) <= tol for w in pins) for z in prefixes[1000]]
+            both += any(pinned) and not all(pinned)
+            none += not prefixes[1000]
+        assert both >= 5 and none >= 5
 class TestFixedSpectrum:
     def test_centralized_full_actuation_empty(self):
         ns = NumericSystem.build(
