@@ -45,7 +45,6 @@ from .structural import (
     decide_polynomial,
     generic_dims,
     markov_identity,
-    structurally_controllable,
 )
 from .graph import (
     CycleSubgraph,
@@ -95,7 +94,6 @@ __all__ = [
     "markov_identity",
     "generic_dims",
     "closed_loop_generic_rank",
-    "structurally_controllable",
     "SystemGraph",
     "CycleSubgraph",
     "SimilarityClass",

@@ -296,7 +296,6 @@ def cmd_analyze(
     trials: int = 10,
     tol: float = DEFAULT_RANK_TOL,
     budget: int = DEFAULT_BUDGET,
-    sample_points: int = 3,
     dot: str | Path | None = None,
 ) -> tuple[dict, int]:
     """Classify, run every applicable decision route, and cross-check them.
@@ -354,8 +353,8 @@ def cmd_analyze(
         report["consistency"]["error"] = "decision routes disagree; see diagnostics"
         exit_code = EXIT_INCONSISTENT
     samples = []
-    for i in range(sample_points):
-        rng_seed = seed + 7919 * (i + 1)
+    for i in (1, 2, 3):
+        rng_seed = seed + 7919 * i
         rng = random.Random(rng_seed)
         values = tuple(Fraction(rng.randint(-30, 30)) for _ in range(system.q))
         point = ParamPoint(values=values, seed=rng_seed)
@@ -584,6 +583,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for cap in ("trials", "samples"):
+            if getattr(args, cap, 1) < 1:
+                raise SystemFileError(f"--{cap} must be at least 1, got {getattr(args, cap)}")
         if args.command == "analyze":
             report, code = cmd_analyze(
                 args.path,

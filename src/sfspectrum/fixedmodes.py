@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .polymatrix import ParamPoint
-from .system import ChannelSubset, MultiChannelSystem, all_subsets
+from .system import ChannelSubset, MultiChannelSystem, all_subsets, channel_spans
 
 __all__ = [
     "NumericSystem",
@@ -144,14 +144,11 @@ class NumericSystem:
         A = np.array(self.A, dtype=float).reshape(self.n, self.n)
         B = np.zeros((self.n, self.m))
         C = np.zeros((self.l, self.n))
-        col = row = 0
-        for (m_i, l_i), B_i, C_i in zip(self.channels, self.B_blocks, self.C_blocks):
-            if m_i:
-                B[:, col : col + m_i] = np.array(B_i, dtype=float)
-            if l_i:
-                C[row : row + l_i] = np.array(C_i, dtype=float)
-            col += m_i
-            row += l_i
+        for cols, rows, B_i, C_i in zip(*self._channel_index, self.B_blocks, self.C_blocks):
+            if cols:
+                B[:, cols] = np.array(B_i, dtype=float)
+            if rows:
+                C[rows] = np.array(C_i, dtype=float)
         for M in (A, B, C):
             M.setflags(write=False)
         return A, B, C
@@ -159,14 +156,7 @@ class NumericSystem:
     @cached_property
     def _channel_index(self) -> tuple[tuple[range, ...], tuple[range, ...]]:
         """Per channel, its columns of the stacked B and its rows of the stacked C."""
-        cols, rows = [], []
-        col = row = 0
-        for m_i, l_i in self.channels:
-            cols.append(range(col, col + m_i))
-            rows.append(range(row, row + l_i))
-            col += m_i
-            row += l_i
-        return tuple(cols), tuple(rows)
+        return channel_spans(self.channels)
 
     def A_array(self) -> np.ndarray:
         return self._floats[0].copy()

@@ -26,9 +26,10 @@ from .structural import (
 )
 from .system import (
     ChannelSubset,
-    FeedbackPattern,
     LinearParamDecomposition,
     MultiChannelSystem,
+    _closure,
+    channel_spans,
     detect_linear_parameterization,
     feedback_pattern,
 )
@@ -167,9 +168,7 @@ def _validate(g: SystemGraph) -> None:
 
 
 def build_graph(
-    sys: MultiChannelSystem,
-    decomp: LinearParamDecomposition | None = None,
-    fp: FeedbackPattern | None = None,
+    sys: MultiChannelSystem, decomp: LinearParamDecomposition | None = None
 ) -> SystemGraph:
     """Build the colored multigraph including the feedback-pattern arcs.
 
@@ -182,8 +181,7 @@ def build_graph(
         raise NonBinaryParameterization(
             "graph construction requires a binary linear parameterization"
         )
-    if fp is None:
-        fp = feedback_pattern(sys)
+    fp = feedback_pattern(sys)
     n, m, l, q = sys.n, sys.m, sys.l, sys.q
     arcs: list[Arc] = []
     for term in decomp.terms:
@@ -495,45 +493,30 @@ def similarity_classes(subs: list[CycleSubgraph]) -> list[SimilarityClass]:
 # -- the graphical decision -----------------------------------------------------
 
 
-def _reachable_from(g: SystemGraph, sources: set[int]) -> set[int]:
-    succ: dict[int, set[int]] = {}
-    for arc in g.arcs:
-        succ.setdefault(arc.src, set()).add(arc.dst)
-    seen = set(sources)
-    frontier = list(sources)
-    while frontier:
-        v = frontier.pop()
-        for w in succ.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
-def _decoupling_witness(g: SystemGraph) -> tuple[ChannelSubset, dict]:
+def _decoupling_witness(g: SystemGraph) -> tuple[ChannelSubset, dict] | None:
     """Channel subset and state partition certified by a state-only component.
 
-    States downstream of the component receive the subset's inputs, states
-    upstream feed the complement's outputs; the component itself sits in the
-    middle block of the block-triangular form.
+    States downstream of the first such component receive the subset's
+    inputs, states upstream feed the complement's outputs; the component
+    itself sits in the middle block of the block-triangular form.  None when
+    no strongly connected component holds only state vertices.
     """
     comp = next(
-        comp
-        for comp in strongly_connected_components(g)
-        if all(g.is_state(v) for v in comp)
+        (c for c in strongly_connected_components(g) if all(g.is_state(v) for v in c)), None
     )
-    reach = _reachable_from(g, set(comp))
+    if comp is None:
+        return None
+    succ: dict[int, list[int]] = {}
+    for arc in g.arcs:
+        succ.setdefault(arc.src, []).append(arc.dst)
+    reach = _closure(comp, succ)
     middle = sorted(comp)
     downstream = sorted(v for v in reach if g.is_state(v) and v not in comp)
     upstream = sorted(v for v in range(g.n) if v not in reach)
-    members = []
-    at = g.n
-    for i, (m_i, _) in enumerate(g.channels):
-        inputs = range(at, at + m_i)
-        if all(u in reach for u in inputs):
-            members.append(i)
-        at += m_i
-    witness = ChannelSubset(tuple(members))
+    in_cols = channel_spans(g.channels)[0]
+    witness = ChannelSubset(
+        tuple(i for i, cols in enumerate(in_cols) if all(g.n + c in reach for c in cols))
+    )
     partition = {
         "upstream_states": [v + 1 for v in upstream],
         "middle_states": [v + 1 for v in middle],
@@ -590,7 +573,6 @@ def _first_unbalanced_class(
 def decide_graphical(
     sys: MultiChannelSystem,
     decomp: LinearParamDecomposition | None = None,
-    fp: FeedbackPattern | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StructuralVerdict:
     """Graphical decision for binary linearly parameterized systems.
@@ -609,7 +591,7 @@ def decide_graphical(
     """
     if decomp is None:
         decomp = detect_linear_parameterization(sys)
-    g = build_graph(sys, decomp, fp)
+    g = build_graph(sys, decomp)
     steps = _Steps(budget)
     subgraph_count = class_count = None
     cover = _cycle_cover(g)
@@ -636,17 +618,17 @@ def decide_graphical(
             reason=REASON_GENERIC_RANK,
             diagnostics=diagnostics,
         )
-    if state_only_scc_exists(g):
-        witness, partition = _decoupling_witness(g)
-        diagnostics["partition"] = partition
-        return StructuralVerdict(
-            has_sfs=True,
-            route="graphical",
-            witness=witness,
-            reason=REASON_PROPER_SUBSPACE,
-            diagnostics=diagnostics,
-        )
-    return StructuralVerdict(has_sfs=False, route="graphical", diagnostics=diagnostics)
+    decoupling = _decoupling_witness(g)
+    if decoupling is None:
+        return StructuralVerdict(has_sfs=False, route="graphical", diagnostics=diagnostics)
+    witness, diagnostics["partition"] = decoupling
+    return StructuralVerdict(
+        has_sfs=True,
+        route="graphical",
+        witness=witness,
+        reason=REASON_PROPER_SUBSPACE,
+        diagnostics=diagnostics,
+    )
 
 
 def export_dot(g: SystemGraph) -> str:

@@ -4,10 +4,20 @@ Coefficients are kept as exact ``Fraction`` values end to end, so algebraic
 identities (a product being the zero polynomial, a determinant vanishing) are
 decided without floating-point noise.  Rank questions about a parameterized
 matrix are answered by evaluating at random points of a large prime field and
-taking the best rank observed: by the Schwartz-Zippel lemma a single random
-evaluation already certifies the generic rank with failure probability bounded
-by (total minor degree) / (field size), and the estimate never exceeds the
-true generic rank.
+taking the best rank observed; the estimate never exceeds the true generic
+rank.
+
+The sampling stop of every randomized claim lives here.  A false claim
+survives an independent uniform point of GF(p) only where a nonzero
+polynomial vanishes, with probability at most its degree over p (Schwartz,
+*JACM* 1980; Zippel 1979), so t points bound it by (degree / p)^t.
+``_confirm`` samples a claim until that bound, times the number of claims a
+false verdict may come from, is at most ``FAILURE_TARGET`` = 2^-40, or until
+``trials`` points; ``trials`` is a cap and must be at least 1.  ``grank``
+samples through it: a sampled rank falls short of the generic rank r only
+where a nonzero r x r minor vanishes, of degree at most min(rows, cols) times
+the largest entry degree.  The claims of the decision routes and their
+degrees are in the ``structural`` module docstring.
 """
 
 from __future__ import annotations
@@ -38,6 +48,8 @@ FIELD_PRIME = 2305843009213693967
 # The Mersenne prime 2**61 - 1: the evaluation field of a system with a
 # coefficient denominator divisible by FIELD_PRIME.
 FALLBACK_PRIME = 2**61 - 1
+# Sampling of a claim stops once its failure bound is at most this.
+FAILURE_TARGET = Fraction(1, 2**40)
 
 Rational = Fraction | int
 # Canonical monomial: ((param index, exponent), ...) sorted by index, all
@@ -170,12 +182,6 @@ class ParamPoly:
         return ParamPoly(out)
 
     __rmul__ = __mul__
-
-    def shift_params(self, offset: int) -> "ParamPoly":
-        """Reindex every parameter i to i + offset."""
-        return ParamPoly(
-            {tuple((i + offset, e) for i, e in mono): c for mono, c in self._terms.items()}
-        )
 
     # -- evaluation ----------------------------------------------------------
 
@@ -380,37 +386,6 @@ class ParamMatrix:
             entries[key] = entries.get(key, ParamPoly.zero()) + poly
         return ParamMatrix(self.rows, self.cols, entries, self.param_count)
 
-    def __matmul__(self, other: "ParamMatrix") -> "ParamMatrix":
-        self._require_same_space(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        by_row: dict[int, list[tuple[int, ParamPoly]]] = {}
-        for (i, k), poly in self._entries.items():
-            by_row.setdefault(i, []).append((k, poly))
-        by_col: dict[int, list[tuple[int, ParamPoly]]] = {}
-        for (k, j), poly in other._entries.items():
-            by_col.setdefault(k, []).append((j, poly))
-        acc: dict[tuple[int, int], ParamPoly] = {}
-        for i, left in by_row.items():
-            for k, lpoly in left:
-                for j, rpoly in by_col.get(k, ()):
-                    key = (i, j)
-                    acc[key] = acc.get(key, ParamPoly.zero()) + lpoly * rpoly
-        return ParamMatrix(self.rows, other.cols, acc, self.param_count)
-
-    def shift_params(self, offset: int, param_count: int) -> "ParamMatrix":
-        """Reindex parameters by offset into a space of param_count parameters."""
-        return ParamMatrix(
-            self.rows,
-            self.cols,
-            {key: poly.shift_params(offset) for key, poly in self._entries.items()},
-            param_count,
-        )
-
-    def with_param_count(self, param_count: int) -> "ParamMatrix":
-        """The same matrix viewed over a (larger) parameter space."""
-        return ParamMatrix(self.rows, self.cols, self._entries, param_count)
-
     @staticmethod
     def hstack(mats: Iterable["ParamMatrix"]) -> "ParamMatrix":
         mats = list(mats)
@@ -560,22 +535,55 @@ def rank_exact(matrix: Sequence[Sequence], modulus: int | None = None) -> int:
     return len(basis)
 
 
+def _points(degree: int, p: int, trials: int, claims: int = 1) -> int:
+    """The fewest points t <= ``trials`` at which claims * (degree / p)^t is
+    at most FAILURE_TARGET (``trials`` when none is)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    target = FAILURE_TARGET
+    t = 1
+    while t < trials and claims * degree**t * target.denominator > target.numerator * p**t:
+        t += 1
+    return t
+
+
+def _bound(degree: int, p: int, trials: int, claims: int = 1) -> Fraction:
+    """The failure bound claims * (degree / p)^t after ``_points`` points."""
+    t = _points(degree, p, trials, claims)
+    return Fraction(claims * degree**t, p**t)
+
+
+def _confirm(settles, degree: int, p: int, trials: int, claims: int = 1) -> Fraction | None:
+    """Sample a claim at independent points until its failure bound meets the target.
+
+    ``settles(t)`` tests the claim at the t-th point and returns True when
+    that point decides the question exactly.  Sampling stops there (the
+    result is None) or after ``_points`` points: the claim then stands
+    with the failure bound ``_bound``.
+    """
+    if any(settles(t) for t in range(_points(degree, p, trials, claims))):
+        return None
+    return _bound(degree, p, trials, claims)
+
+
 def grank(m: ParamMatrix, trials: int = 10, seed: int = 0) -> int:
     """Generic rank of a parameterized matrix by randomized evaluation.
 
-    The result never exceeds the true generic rank; a single full-rank sample
-    certifies it, so ``trials`` only guards against unlucky rank-deficient
-    draws (probability at most (minor degree / field size) per trial).
+    The result never exceeds the true generic rank.  A full-rank sample
+    settles it; otherwise the best rank stands once (degree / p)^t is at
+    most FAILURE_TARGET, degree = min(rows, cols) times the largest entry
+    degree, or after ``trials`` points (module docstring).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    best = 0
     cap = min(m.rows, m.cols)
     p = evaluation_prime([m])
     rng = random.Random(seed)
-    for _ in range(trials):
+    best = 0
+
+    def full_rank(_):
+        nonlocal best
         values = [rng.randrange(p) for _ in range(m.param_count)]
         best = max(best, rank_exact(m.evaluate_at(values, p), p))
-        if best == cap:
-            break
+        return best == cap
+
+    _confirm(full_rank, cap * m.degree(), p, trials)
     return best

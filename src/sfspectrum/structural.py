@@ -32,12 +32,11 @@ Three decision routes are provided:
 
 No-SFS verdicts rest on an explicit certificate and report failure bound 0.
 An SFS verdict rests on claims checked at independent uniform points of
-GF(p): a false claim survives a point only where a nonzero polynomial
-vanishes, with probability at most its degree over p (Schwartz, *JACM* 1980;
-Zippel 1979), so t points bound it by (degree / p)^t.  ``_confirm`` samples
-a claim until that bound, times the number of claims a false verdict may
-come from, is at most ``FAILURE_TARGET`` = 2^-40, or until ``trials``
-points; ``trials`` is a cap.  The verdict reports the bound it reached as
+GF(p), each sampled through ``polymatrix._confirm``: until (degree / p)^t,
+times the number of claims a false verdict may come from, is at most
+``FAILURE_TARGET`` = 2^-40, or until ``trials`` points (the stop rule and
+its Schwartz-Zippel argument are in the ``polymatrix`` module docstring).
+The verdict reports the bound it reached as
 ``diagnostics["failure_bound"]``, a float rounded from an exact fraction of
 integers.  With d_A, d_B and d_C the largest entry degrees of A, the B
 blocks and the C blocks (``MultiChannelSystem.degrees``), and the entries of
@@ -75,14 +74,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polymatrix import Echelon, ParamMatrix, _residue, grank, rank_exact
+from .polymatrix import Echelon, _bound, _confirm, _residue, rank_exact
 from .system import (
     ChannelSubset,
     LinearParamDecomposition,
     MultiChannelSystem,
+    _closure,
+    channel_spans,
     detect_linear_parameterization,
     feedback_pattern,
-    rank_one_terms,
     split,
     stack,
 )
@@ -100,15 +100,11 @@ __all__ = [
     "generic_dims",
     "closed_loop_generic_rank",
     "rank_failure_bound",
-    "structurally_controllable",
 ]
 
 REASON_GENERIC_RANK = "generic-rank-deficient"
 REASON_PROPER_SUBSPACE = "proper-subspace"
 REASON_PENCIL_DROP = "pencil-drop-all-p"
-
-# Sampling of a claim stops once its failure bound is at most this.
-FAILURE_TARGET = Fraction(1, 2**40)
 
 @dataclass(frozen=True)
 class GenericDims:
@@ -237,35 +233,6 @@ def poly_gcd(a: list, b: list, modulus: int | None = None) -> list:
     return a
 
 
-def _points(degree: int, p: int, trials: int, claims: int = 1) -> int:
-    """The fewest points t <= ``trials`` at which claims * (degree / p)^t is
-    at most FAILURE_TARGET (``trials`` when none is)."""
-    target = FAILURE_TARGET
-    t = 1
-    while t < trials and claims * degree**t * target.denominator > target.numerator * p**t:
-        t += 1
-    return t
-
-
-def _bound(degree: int, p: int, trials: int, claims: int = 1) -> Fraction:
-    """The failure bound claims * (degree / p)^t after ``_points`` points."""
-    t = _points(degree, p, trials, claims)
-    return Fraction(claims * degree**t, p**t)
-
-
-def _confirm(settles, degree: int, p: int, trials: int, claims: int = 1) -> Fraction | None:
-    """Sample a claim at independent points until its failure bound meets the target.
-
-    ``settles(t)`` tests the claim at the t-th point and returns True when
-    that point decides the question exactly.  Sampling stops there (the
-    result is None) or after ``_points`` points: the claim then stands
-    with the failure bound ``_bound``.
-    """
-    if any(settles(t) for t in range(_points(degree, p, trials, claims))):
-        return None
-    return _bound(degree, p, trials, claims)
-
-
 def _reported(bound: Fraction) -> float:
     """A failure bound as a report value (a probability, so at most 1)."""
     return float(min(bound, 1))
@@ -314,30 +281,20 @@ def _evaluate(sys: MultiChannelSystem, stacked, residues) -> _SamplePoint:
     )
 
 
-def _spans(widths) -> list[range]:
-    """Index ranges of consecutive blocks of the given widths."""
-    out, at = [], 0
-    for w in widths:
-        out.append(range(at, at + w))
-        at += w
-    return out
-
-
 def pencil_drop_at_point(
     sys: MultiChannelSystem,
     s: ChannelSubset,
     values,
     seed: int = 0,
-    draws: int = 1,
     *,
     _point: _SamplePoint | None = None,
 ) -> bool:
     """Exact test: does some eigenvalue drop the bordered pencil of S at this point?
 
     A drop at lambda puts lambda in the spectrum of A + B_S E + K C for every
-    E and K, so a constant gcd of the characteristic polynomials of A and
-    ``draws`` perturbations (entries uniform in GF(p)) certifies that no
-    drop exists.
+    E and K, so a constant gcd of the characteristic polynomials of A and of
+    one perturbation (entries uniform in GF(p)) certifies that no drop
+    exists.
 
     ``values`` are rational coordinates whose denominators the system's
     evaluation prime p does not divide.  The whole test runs in GF(p): the
@@ -346,7 +303,7 @@ def pencil_drop_at_point(
     a constant gcd mod p proves a constant gcd over Q.  A "no drop" answer
     is therefore exact; the only extra error (p dividing a resultant)
     reports a drop and merely costs another sample.  A nonconstant gcd
-    reports a drop; by the Schwartz-Zippel lemma a draw shares a root with
+    reports a drop; by the Schwartz-Zippel lemma the draw shares a root with
     chi(A) that no drop forces with probability at most n^2 / p.
     ``decide_polynomial`` passes the system already evaluated at ``values``
     as ``_point``.
@@ -356,27 +313,20 @@ def pencil_drop_at_point(
     p = sys.prime
     if _point is None:
         _point = _evaluate(sys, stack(sys), [_residue(v, p) for v in values])
-    in_cols = _spans(m_i for m_i, _ in sys.channels)
-    out_rows = _spans(l_i for _, l_i in sys.channels)
+    in_cols, out_rows = channel_spans(sys.channels)
     cols = [c for i in s for c in in_cols[i]]
     B = [[row[c] for c in cols] for row in _point.B]
     C = [_point.C[r] for j in s.complement(sys.k) for r in out_rows[j]]
     rng = random.Random(seed)
     n, ms, lc = sys.n, len(cols), len(C)
-    A = _point.A
-    g = _point.char_A
-    for _ in range(draws):
-        if not ms and not lc:
-            break  # no feedback paths at all; the gcd stays the full polynomial
-        M = A
-        if ms:
-            M = _mat_add_mod(M, _mat_mul_mod(B, _uniform(rng, ms, n, p), p), p)
-        if lc:
-            M = _mat_add_mod(M, _mat_mul_mod(_uniform(rng, n, lc, p), C, p), p)
-        g = poly_gcd(g, char_poly_exact(M, p), p)
-        if len(g) == 1:
-            return False
-    return len(g) > 1
+    if not ms and not lc:
+        return True  # no feedback paths at all: every eigenvalue of A drops the pencil
+    M = _point.A
+    if ms:
+        M = _mat_add_mod(M, _mat_mul_mod(B, _uniform(rng, ms, n, p), p), p)
+    if lc:
+        M = _mat_add_mod(M, _mat_mul_mod(_uniform(rng, n, lc, p), C, p), p)
+    return len(poly_gcd(_point.char_A, char_poly_exact(M, p), p)) > 1
 
 
 def _no_fixed_mode_at(sys: MultiChannelSystem, point: _SamplePoint, rng: random.Random) -> bool:
@@ -392,9 +342,7 @@ def _no_fixed_mode_at(sys: MultiChannelSystem, point: _SamplePoint, rng: random.
         return False  # no channel closes a loop: every eigenvalue of A is fixed
     p = sys.prime
     K = [[0] * sys.l for _ in range(sys.m)]
-    for rows, cols in zip(
-        _spans(m_i for m_i, _ in sys.channels), _spans(l_i for _, l_i in sys.channels)
-    ):
+    for rows, cols in zip(*channel_spans(sys.channels)):
         for r in rows:
             for c in cols:
                 K[r][c] = rng.randrange(p)
@@ -562,18 +510,6 @@ def _krylov_dim(rows, M, p: int) -> int:
     return len(basis)
 
 
-def _closure(starts, arcs: dict[int, list[int]]) -> set[int]:
-    """The vertices reachable from ``starts`` along ``arcs`` (starts included)."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        for w in arcs.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def generic_dims(
     sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
 ) -> GenericDims:
@@ -737,28 +673,3 @@ def decide_linear(
             diagnostics=diagnostics,
         )
     return StructuralVerdict(has_sfs=False, route="algebraic", diagnostics=diagnostics)
-
-
-def structurally_controllable(
-    A: ParamMatrix, B: ParamMatrix, trials: int = 10, seed: int = 0
-) -> bool:
-    """Structural controllability of a linearly parameterized pair (A, B).
-
-    True iff the generic rank of [A B] is n and every parameter of the pair
-    shows up, with a nonzero coefficient, somewhere in B, AB, ..., A^n B.
-    The Krylov blocks are expanded exactly (sparse polynomial products), so
-    parameter appearance accounts for cancellations.
-    """
-    if A.rows != A.cols or B.rows != A.rows:
-        raise ValueError("pair shapes must be n x n and n x m")
-    pair = ParamMatrix.hstack([A, B])
-    rank_one_terms(pair)  # raises NotLinearlyParameterized on a bad pair
-    n = A.rows
-    if grank(pair, trials=trials, seed=seed) < n:
-        return False
-    seen = B.params()
-    M = B
-    for _ in range(n):
-        M = A @ M
-        seen |= M.params()
-    return pair.params() <= seen

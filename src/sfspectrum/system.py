@@ -2,11 +2,12 @@
 
 A k-channel system couples a state matrix A with per-channel input blocks B_i
 and output blocks C_i, all parameterized over one shared vector of q
-algebraically independent parameters.  This module stacks and splits the
-channel blocks, builds the block-diagonal feedback pattern that decentralized
-output feedback admits, and classifies the parameterization (polynomial /
-linear / binary / unitary) by factoring each parameter's constant derivative
-matrix of [A B; C 0] into a rank-one product.
+algebraically independent parameters.  This module lays out
+(``channel_spans``), stacks and splits the channel blocks, builds the
+block-diagonal feedback pattern that decentralized output feedback admits,
+and classifies the parameterization (polynomial / linear / binary /
+unitary) by factoring each parameter's constant derivative matrix of
+[A B; C 0] into a rank-one product.
 
 Detection reads the blocks in place: one pass over the stored entries of A,
 each B_i and each C_i, at their offsets in [A B; C 0], with no stacked copy.
@@ -35,6 +36,7 @@ __all__ = [
     "Classification",
     "NotLinearlyParameterized",
     "all_subsets",
+    "channel_spans",
     "stack",
     "split",
     "feedback_pattern",
@@ -166,6 +168,30 @@ class MultiChannelSystem:
         )
 
 
+def channel_spans(channels) -> tuple[tuple[range, ...], tuple[range, ...]]:
+    """Per channel, its columns of the stacked B and its rows of the stacked C."""
+    cols, rows = [], []
+    col = row = 0
+    for m_i, l_i in channels:
+        cols.append(range(col, col + m_i))
+        rows.append(range(row, row + l_i))
+        col += m_i
+        row += l_i
+    return tuple(cols), tuple(rows)
+
+
+def _closure(starts, arcs: dict[int, list[int]]) -> set[int]:
+    """The vertices reachable from ``starts`` along ``arcs`` (starts included)."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for w in arcs.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
 def stack(sys: MultiChannelSystem) -> tuple[ParamMatrix, ParamMatrix]:
     """Stacked (B, C): B is the n x m row of blocks, C the l x n column."""
     B = ParamMatrix.hstack(sys.B_blocks) if sys.k else ParamMatrix.zeros(sys.n, 0, sys.q)
@@ -210,22 +236,14 @@ class FeedbackPattern:
 
 def feedback_pattern(sys: MultiChannelSystem) -> FeedbackPattern:
     """Fresh-parameter block-diagonal pattern for decentralized feedback."""
-    m, l = sys.m, sys.l
-    q_f = sum(m_i * l_i for m_i, l_i in sys.channels)
-    entries: dict[tuple[int, int], ParamPoly] = {}
     entry_params: dict[tuple[int, int], int] = {}
-    row_off = col_off = 0
-    next_param = 0
-    for m_i, l_i in sys.channels:
-        for r in range(m_i):
-            for c in range(l_i):
-                entries[(row_off + r, col_off + c)] = ParamPoly.param(next_param)
-                entry_params[(row_off + r, col_off + c)] = next_param
-                next_param += 1
-        row_off += m_i
-        col_off += l_i
+    for rows, cols in zip(*channel_spans(sys.channels)):
+        for r in rows:
+            for c in cols:
+                entry_params[(r, c)] = len(entry_params)
+    entries = {key: ParamPoly.param(r) for key, r in entry_params.items()}
     return FeedbackPattern(
-        F=ParamMatrix(m, l, entries, q_f),
+        F=ParamMatrix(sys.m, sys.l, entries, len(entry_params)),
         channels=sys.channels,
         entry_params=entry_params,
     )
@@ -379,14 +397,6 @@ def _rank_one_terms(
     return tuple(terms), is_binary, is_unitary
 
 
-def rank_one_terms(Z: ParamMatrix) -> tuple[tuple[RankOneTerm, ...], bool, bool]:
-    """Rank-one terms of a homogeneous-linear matrix Z, such as the pair [A B].
-
-    Returns (terms, is_binary, is_unitary).
-    """
-    return _rank_one_terms([(Z, 0, 0)], Z.rows, Z.cols)
-
-
 def detect_linear_parameterization(sys: MultiChannelSystem) -> LinearParamDecomposition:
     """Decompose [A B; C 0] into rank-one parameter terms, or raise.
 
@@ -397,15 +407,10 @@ def detect_linear_parameterization(sys: MultiChannelSystem) -> LinearParamDecomp
     also catches a parameter appearing in both B and C).
     """
     n = sys.n
+    in_cols, out_rows = channel_spans(sys.channels)
     blocks = [(sys.A, 0, 0)]
-    offset = n
-    for B_i in sys.B_blocks:
-        blocks.append((B_i, 0, offset))
-        offset += B_i.cols
-    offset = n
-    for C_i in sys.C_blocks:
-        blocks.append((C_i, offset, 0))
-        offset += C_i.rows
+    blocks += [(B_i, 0, n + cols.start) for B_i, cols in zip(sys.B_blocks, in_cols)]
+    blocks += [(C_i, n + rows.start, 0) for C_i, rows in zip(sys.C_blocks, out_rows)]
     terms, is_binary, is_unitary = _rank_one_terms(blocks, n + sys.l, n + sys.m)
     return LinearParamDecomposition(
         terms=terms,

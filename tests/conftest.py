@@ -1,10 +1,23 @@
 """Shared fixtures: the worked two-channel example and friends."""
 
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 from sfspectrum import MultiChannelSystem, NumericSystem, ParamMatrix, ParamPoly
 
 p = ParamPoly.param
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark harness in ``perfbench/``, imported by name."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 def two_channel_shared_params() -> MultiChannelSystem:

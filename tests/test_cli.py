@@ -389,6 +389,20 @@ class TestMainEntry:
         code = main(["fixed-modes", str(worked_file), "--set", "p1=0.5"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("analyze", "--trials"), ("crosscheck", "--trials"), ("fixed-modes", "--samples")],
+    )
+    def test_sampling_cap_below_one_is_a_usage_error(self, worked_file, capsys, command, flag):
+        for value in ("0", "-3"):
+            argv = [command, str(worked_file), flag, value]
+            if command == "fixed-modes":
+                argv += [f"--set={n}=1" for n in NAMES]
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+
     def test_consecutive_calls_keep_their_own_assignments(self, worked_file, capsys):
         """The parser is built once per process; no call sees another's --set values."""
         base = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]

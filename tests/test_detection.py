@@ -18,13 +18,10 @@ from sfspectrum import (
     ParamMatrix,
     ParamPoly,
     detect_linear_parameterization,
-    feedback_pattern,
     split,
-    stack,
 )
 from sfspectrum.cli import parse_system
 from sfspectrum.ensembles import random_binary_system
-from sfspectrum.system import rank_one_terms
 from test_golden_linear import CASES as LINEAR_CASES
 from test_golden_linear import random_linear_system
 from test_golden_reports import CASES as REPORT_CASES
@@ -72,11 +69,6 @@ def current(sys_):
     decomp = detect_linear_parameterization(sys_)
     assert (decomp.n, decomp.m, decomp.l) == (sys_.n, sys_.m, sys_.l)
     return as_tuples(decomp.terms), decomp.is_binary, decomp.is_unitary
-
-
-def current_pair(Z):
-    terms, is_binary, is_unitary = rank_one_terms(Z)
-    return as_tuples(terms), is_binary, is_unitary
 
 
 def as_tuples(terms):
@@ -179,15 +171,6 @@ class TestDetectionEquivalence:
         assert outcomes[7][3] == 0
         assert outcomes[8] == ("decided", [], True, True)
         assert [o[:1] + o[2:] for o in outcomes[9:]] == [("decided", False, False)] * 2
-
-    def test_pair_form_matches_reference(self):
-        for seed in range(60):
-            sys_ = random_linear_system(seed) if seed % 2 else random_binary_system(seed)
-            B, _ = stack(sys_)
-            pair = ParamMatrix.hstack([sys_.A, B])
-            assert outcome(current_pair, pair) == outcome(reference_terms, pair)
-        F = feedback_pattern(random_binary_system(3)).F
-        assert outcome(current_pair, F) == outcome(reference_terms, F)
 
 
 class TestNoRestacking:

@@ -18,14 +18,12 @@ import pytest
 
 from sfspectrum import NotLinearlyParameterized, detect_linear_parameterization
 from sfspectrum.ensembles import random_binary_system
-from sfspectrum.polymatrix import rank_exact
+from sfspectrum.polymatrix import FAILURE_TARGET, _bound, _points, grank, rank_exact
 from sfspectrum.structural import (
-    FAILURE_TARGET,
     REASON_GENERIC_RANK,
     REASON_PENCIL_DROP,
     REASON_PROPER_SUBSPACE,
     GenericDims,
-    _closure,
     _evaluate,
     _krylov_degree,
     _krylov_dim,
@@ -33,8 +31,6 @@ from sfspectrum.structural import (
     _mat_add_mod,
     _mat_mul_mod,
     _no_fixed_mode_at,
-    _bound,
-    _points,
     _rank_degree,
     closed_loop_generic_rank,
     decide_linear,
@@ -43,7 +39,7 @@ from sfspectrum.structural import (
     markov_identity,
     pencil_drop_at_point,
 )
-from sfspectrum.system import feedback_pattern, split, stack
+from sfspectrum.system import _closure, feedback_pattern, split, stack
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
@@ -294,6 +290,14 @@ class TestReportedBound:
             ((3, 2, 2), 2, Fraction(9, 4)),
         ):
             assert (_points(*args), _bound(*args)) == (points, bound)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_every_sampling_route_rejects_a_cap_below_one(self, worked_system, trials):
+        for route in (decide_polynomial, decide_linear, closed_loop_generic_rank):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                route(worked_system, trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            grank(worked_system.A, trials=trials)
 
     def test_values_follow_the_route_formulas(self):
         seen = set()

@@ -1,5 +1,7 @@
 """Numeric fixed spectrum: pencil tests, full computation, and the oracle."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -24,7 +26,8 @@ from sfspectrum.fixedmodes import (
     _witnesses,
 )
 from sfspectrum.system import all_subsets
-from conftest import chain_with_fixed_mode, spectra_match
+from sfspectrum.cli import EXIT_OK, main
+from conftest import chain_with_fixed_mode, perfbench_module, spectra_match
 
 
 def empty_cols(n):
@@ -749,3 +752,34 @@ class TestNumericSystemValidation:
                 B_blocks=(((Fraction(1),), (Fraction(0),)),),
                 C_blocks=(((Fraction(1), Fraction(0)),),),
             )
+
+
+@pytest.fixture
+def fixed_modes_seed_901_item_22(tmp_path):
+    """``fixed-modes`` argv of the benchmark corpus of seed 901, item 22, as the harness builds it."""
+    workloads = perfbench_module("workloads")
+    w = workloads.FixedModes()
+    walk = workloads.generate(w.name, 901, w.cells, w.variants, w.density)
+    spec, doc, values = next(itertools.islice(walk, 22, None))
+    assert spec.name == "linear-n24-k3-unobservable-4v1"
+    # the harness draws the operation seed before the --set values, from the same generator
+    item = workloads.Item(name=spec.name, spec=spec, path=workloads._write(tmp_path, spec.name, doc),
+                          op_seed=values.randrange(10**6))
+    w.prepare(item, doc, values)
+    return item.argv
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="A has a simple eigenvalue 0 and a distinct one at -8.23e-6, where sigma_n of "
+    "[lambda I - A, B] is 3.7e-6, below its rank threshold 1.09e-5: the pencil route reports "
+    "both as fixed with witness {1, 2, 3}, the oracle keeps only 0",
+)
+def test_fixed_modes_keeps_a_near_zero_eigenvalue_apart_from_zero(
+    fixed_modes_seed_901_item_22, capsys
+):
+    code = main(fixed_modes_seed_901_item_22)
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["pencil_route"]) == len(report["oracle_route"])
+    assert report["agree"] and code == EXIT_OK

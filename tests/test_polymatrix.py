@@ -16,7 +16,7 @@ from sfspectrum import (
     rank_exact,
     rational_point,
 )
-from sfspectrum.polymatrix import FALLBACK_PRIME, evaluation_prime
+from sfspectrum.polymatrix import FALLBACK_PRIME, _points, evaluation_prime
 from conftest import two_channel_shared_params
 
 p = ParamPoly.param
@@ -171,12 +171,20 @@ def closed_loop_worked_example() -> ParamMatrix:
 
     B, C = stack(sys_)
     fp = feedback_pattern(sys_)
-    q_all = sys_.q + fp.param_count
-    A = sys_.A.with_param_count(q_all)
-    B = B.with_param_count(q_all)
-    C = C.with_param_count(q_all)
-    F = fp.F.shift_params(sys_.q, q_all)
-    return A + (B @ F @ C)
+    # the feedback parameters follow the system's: gain r is parameter q + r
+    gains = {key: p(sys_.q + r) for key, r in fp.entry_params.items()}
+    closed = [
+        [
+            sys_.A.entry(i, j)
+            + sum(
+                (B.entry(i, r) * gain * C.entry(c, j) for (r, c), gain in gains.items()),
+                ParamPoly.zero(),
+            )
+            for j in range(sys_.n)
+        ]
+        for i in range(sys_.n)
+    ]
+    return ParamMatrix.from_rows(closed, sys_.q + fp.param_count)
 
 
 class TestGrank:
@@ -280,6 +288,21 @@ class TestGrankProperties:
             m = ParamMatrix(rows, cols, entries, q)
             assert grank(m, seed=trial) == max_bipartite_matching(support, rows, cols)
 
+    def test_matches_the_best_of_trials_loop_on_these_ensembles(self, monkeypatch):
+        real, checked = grank, []
+
+        def compared(m, trials=10, seed=0):
+            checked.append(real(m, trials=trials, seed=seed))
+            assert checked[-1] == best_of_trials_grank(m, trials, seed)
+            return checked[-1]
+
+        monkeypatch.setitem(globals(), "grank", compared)
+        self.test_monotone_under_adding_columns()
+        self.test_one_sided_bound_at_sampled_points()
+        self.test_matches_structural_rank_for_distinct_parameters()
+        self.test_seed_independent_on_regression_suite()
+        assert len(checked) == 50 + 25 + 30 + 40
+
     def test_seed_independent_on_regression_suite(self):
         rng = random.Random(53)
         suite = [
@@ -289,3 +312,48 @@ class TestGrankProperties:
         for m in suite:
             results = {grank(m, trials=10, seed=s) for s in (1, 2, 3, 4)}
             assert len(results) == 1
+
+
+def best_of_trials_grank(m, trials=10, seed=0):
+    """The earlier grank: the best rank over up to ``trials`` points, stopping at full rank."""
+    best, cap = 0, min(m.rows, m.cols)
+    prime = evaluation_prime([m])
+    rng = random.Random(seed)
+    for _ in range(trials):
+        values = [rng.randrange(prime) for _ in range(m.param_count)]
+        best = max(best, rank_exact(m.evaluate_at(values, prime), prime))
+        if best == cap:
+            break
+    return best
+
+
+class TestGrankStop:
+    """grank samples through the shared stop: it ends once (degree / p)^t <= 2^-40."""
+
+    def points(self, monkeypatch, m, **kwargs):
+        calls = []
+        evaluate_at = ParamMatrix.evaluate_at
+
+        def counting(self, values, modulus=None):
+            calls.append(values)
+            return evaluate_at(self, values, modulus)
+
+        monkeypatch.setattr(ParamMatrix, "evaluate_at", counting)
+        return grank(m, **kwargs), len(calls)
+
+    def test_rank_deficient_takes_one_point(self, monkeypatch):
+        # degree 2 * 1 over a 61-bit prime: one point already bounds it by 2^-60
+        m = ParamMatrix.from_rows([[p(0), p(0)], [p(0), p(0)]], 1)
+        assert self.points(monkeypatch, m) == (1, 1)
+
+    def test_full_rank_settles_at_the_first_point(self, monkeypatch):
+        m = ParamMatrix.from_rows([[p(0), 1], [0, p(1)]], 2)
+        assert self.points(monkeypatch, m) == (2, 1)
+
+    def test_high_degree_needs_more_points_up_to_the_cap(self, monkeypatch):
+        x = ParamPoly({((0, 2**22),): 1})
+        m = ParamMatrix.from_rows([[x, x], [x, x]], 1)
+        # degree 2 * 2^22 = 2^23: one point gives about 2^-38, two meet 2^-40
+        assert _points(2**23, FIELD_PRIME, 10) == 2
+        assert self.points(monkeypatch, m) == (1, 2)
+        assert self.points(monkeypatch, m, trials=1) == (1, 1)

@@ -1,4 +1,4 @@
-"""The decision procedures: pencil sampling, algebraic route, controllability."""
+"""The decision procedures: pencil sampling and the algebraic route."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,6 @@ from sfspectrum import (
     fixed_spectrum,
     generic_dims,
     markov_identity,
-    structurally_controllable,
 )
 from sfspectrum.structural import (
     REASON_GENERIC_RANK,
@@ -29,12 +28,11 @@ from sfspectrum.structural import (
     _krylov_degree,
     _krylov_dim,
     _mat_mul_mod,
-    _points,
     char_poly_exact,
     pencil_drop_at_point,
     poly_gcd,
 )
-from sfspectrum.polymatrix import FIELD_PRIME, rank_exact
+from sfspectrum.polymatrix import FIELD_PRIME, _points, rank_exact
 from sfspectrum.system import all_subsets, split
 from sfspectrum.ensembles import random_binary_system
 
@@ -730,79 +728,3 @@ class TestAgreementInvariants:
             if checked >= 5:
                 break
         assert checked >= 3
-
-
-class TestStructurallyControllable:
-    def test_scalar_pair(self):
-        A = ParamMatrix.from_rows([[p(0)]], 2)
-        B = ParamMatrix.from_rows([[p(1)]], 2)
-        assert structurally_controllable(A, B)
-
-    def test_zero_input(self):
-        A = ParamMatrix.from_rows([[p(0)]], 1)
-        B = ParamMatrix.zeros(1, 1, 1)
-        assert not structurally_controllable(A, B)
-
-    def test_two_state_chain(self):
-        A = ParamMatrix.from_rows([[0, 0], [p(0), 0]], 2)
-        B = ParamMatrix.from_rows([[p(1)], [0]], 2)
-        assert structurally_controllable(A, B)
-
-    def test_chain_direction_matters(self):
-        A = ParamMatrix.from_rows([[0, p(0)], [0, 0]], 2)
-        B = ParamMatrix.from_rows([[0], [p(1)]], 2)
-        # [B, AB] = [[0, p1 p2], [p2, 0]]: p1 appears; controllable
-        assert structurally_controllable(A, B)
-        # reversed chain: x1 is unreachable, [A2 B2] already rank deficient
-        A2 = ParamMatrix.from_rows([[0, 0], [p(0), 0]], 2)
-        B2 = ParamMatrix.from_rows([[0], [p(1)]], 2)
-        assert not structurally_controllable(A2, B2)
-
-    def test_full_rank_but_parameter_never_appears(self):
-        # diagonal A makes [A B] full rank, yet x2 is untouched by the input:
-        # p2 never enters B, AB, A^2 B, so the pair is not controllable
-        A = ParamMatrix.from_rows([[p(0), 0], [0, p(1)]], 3)
-        B = ParamMatrix.from_rows([[p(2)], [0]], 3)
-        from sfspectrum.polymatrix import grank as _grank
-        from sfspectrum.polymatrix import ParamMatrix as _PM
-
-        assert _grank(_PM.hstack([A, B])) == 2
-        assert not structurally_controllable(A, B)
-
-    def test_rejects_nonlinear_pair(self):
-        A = ParamMatrix.from_rows([[p(0) * p(0)]], 1)
-        B = ParamMatrix.from_rows([[1]], 1)
-        with pytest.raises(NotLinearlyParameterized):
-            structurally_controllable(A, B)
-
-    def test_implies_pointwise_controllability_generically(self):
-        rng = random.Random(3)
-        found = 0
-        for seed in range(40):
-            n = rng.randint(1, 3)
-            m = rng.randint(1, 2)
-            q = n * n + n * m
-            idx = iter(range(q))
-            A = ParamMatrix.from_rows(
-                [
-                    [p(next(idx)) if rng.random() < 0.5 else 0 for _ in range(n)]
-                    for _ in range(n)
-                ],
-                q,
-            )
-            B = ParamMatrix.from_rows(
-                [
-                    [p(next(idx)) if rng.random() < 0.6 else 0 for _ in range(m)]
-                    for _ in range(n)
-                ],
-                q,
-            )
-            if not structurally_controllable(A, B, seed=seed):
-                continue
-            found += 1
-            for trial in range(5):
-                values = [rng.randrange(FIELD_PRIME) for _ in range(q)]
-                An = A.evaluate_at(values, FIELD_PRIME)
-                Bn = B.evaluate_at(values, FIELD_PRIME)
-                assert _full_krylov_rank(An, Bn, FIELD_PRIME) == n
-        assert found >= 5

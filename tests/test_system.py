@@ -17,7 +17,7 @@ from sfspectrum import (
     split,
     stack,
 )
-from sfspectrum.system import _rank_one_factor, all_subsets, rank_one_terms
+from sfspectrum.system import _rank_one_factor, all_subsets
 from sfspectrum.ensembles import random_binary_system
 
 p = ParamPoly.param
@@ -131,9 +131,10 @@ class TestFeedbackPattern:
 
     def test_pattern_is_unitary_linear(self, worked_system):
         fp = feedback_pattern(worked_system)
-        terms, is_binary, is_unitary = rank_one_terms(fp.F)
-        assert is_unitary and is_binary
-        assert len(terms) == fp.param_count
+        # every entry is its own fresh parameter with coefficient 1, so each
+        # derivative matrix is a unit matrix: unitary, hence binary, linear
+        assert fp.F.items() == [(key, p(r)) for key, r in sorted(fp.entry_params.items())]
+        assert sorted(fp.entry_params.values()) == list(range(fp.param_count))
 
 
 class TestDetectLinear:
