@@ -75,86 +75,99 @@ class SystemFileError(ValueError):
     """A system file failed to parse; the message names the offending field."""
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(obj) - allowed
+def _require_keys(obj: dict, keys: set[str], where: str):
+    """Fails unless ``obj`` has exactly the fields ``keys``."""
+    unknown = set(obj) - keys
     if unknown:
         raise SystemFileError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = keys - set(obj)
     if missing:
         raise SystemFileError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def _parse_coeff(text, where: str) -> Fraction:
+def _parse_coeff(text) -> Fraction | None:
+    """The value of a decimal-free 'num' or 'num/den' string, None for anything else."""
     if not isinstance(text, str) or not _COEFF_RE.match(text):
-        raise SystemFileError(
-            f"{where}: coefficient must be a decimal-free 'num' or 'num/den' string, got {text!r}"
-        )
-    value = Fraction(text)
-    if value.denominator % FIELD_PRIME == 0 and value.denominator % FALLBACK_PRIME == 0:
-        raise SystemFileError(
-            f"{where}: coefficient {text} has a denominator divisible by both evaluation "
-            f"primes {FIELD_PRIME} and {FALLBACK_PRIME}, so no prime field can evaluate it"
-        )
-    return value
+        return None
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def _parse_entries(
+def _spot(where: str, pos: int, tpos: int | None = None) -> str:
+    """Where entry ``pos`` (and its term ``tpos``) sits, for an error message."""
+    return f"{where}, entry {pos}" if tpos is None else f"{where}, entry {pos}, term {tpos}"
+
+
+_ENTRY_KEYS = {"row", "col", "terms"}
+_TERM_KEYS = {"coeff", "monomial"}
+
+
+def _parse_matrix(
     raw, rows: int, cols: int, param_index: dict[str, int], where: str
-) -> dict[tuple[int, int], ParamPoly]:
+) -> ParamMatrix:
     if not isinstance(raw, list):
         raise SystemFileError(f"{where}: expected a list of entries")
     entries: dict[tuple[int, int], ParamPoly] = {}
     for pos, item in enumerate(raw):
-        spot = f"{where}, entry {pos}"
         if not isinstance(item, dict):
-            raise SystemFileError(f"{spot}: expected an object")
-        _require_keys(item, {"row", "col", "terms"}, {"row", "col", "terms"}, spot)
+            raise SystemFileError(f"{_spot(where, pos)}: expected an object")
+        if item.keys() != _ENTRY_KEYS:
+            _require_keys(item, _ENTRY_KEYS, _spot(where, pos))
         row, col = item["row"], item["col"]
         if not (isinstance(row, int) and 0 <= row < rows):
-            raise SystemFileError(f"{spot}: row {row!r} outside 0..{rows - 1}")
+            raise SystemFileError(f"{_spot(where, pos)}: row {row!r} outside 0..{rows - 1}")
         if not (isinstance(col, int) and 0 <= col < cols):
-            raise SystemFileError(f"{spot}: col {col!r} outside 0..{cols - 1}")
+            raise SystemFileError(f"{_spot(where, pos)}: col {col!r} outside 0..{cols - 1}")
         if (row, col) in entries:
-            raise SystemFileError(f"{spot}: duplicate entry for ({row}, {col})")
+            raise SystemFileError(f"{_spot(where, pos)}: duplicate entry for ({row}, {col})")
         terms: dict = {}
         if not isinstance(item["terms"], list):
-            raise SystemFileError(f"{spot}: terms must be a list")
+            raise SystemFileError(f"{_spot(where, pos)}: terms must be a list")
         for tpos, term in enumerate(item["terms"]):
-            tspot = f"{spot}, term {tpos}"
             if not isinstance(term, dict):
-                raise SystemFileError(f"{tspot}: expected an object")
-            _require_keys(term, {"coeff", "monomial"}, {"coeff", "monomial"}, tspot)
-            coeff = _parse_coeff(term["coeff"], tspot)
+                raise SystemFileError(f"{_spot(where, pos, tpos)}: expected an object")
+            if term.keys() != _TERM_KEYS:
+                _require_keys(term, _TERM_KEYS, _spot(where, pos, tpos))
+            text = term["coeff"]
+            coeff = _parse_coeff(text)
+            if coeff is None:
+                raise SystemFileError(
+                    f"{_spot(where, pos, tpos)}: coefficient must be a decimal-free 'num' or "
+                    f"'num/den' string, got {text!r}"
+                )
+            if coeff.denominator % FIELD_PRIME == 0 and coeff.denominator % FALLBACK_PRIME == 0:
+                raise SystemFileError(
+                    f"{_spot(where, pos, tpos)}: coefficient {text} has a denominator divisible "
+                    f"by both evaluation primes {FIELD_PRIME} and {FALLBACK_PRIME}, so no prime "
+                    "field can evaluate it"
+                )
             monomial = term["monomial"]
             if not isinstance(monomial, dict):
-                raise SystemFileError(f"{tspot}: monomial must be an object")
+                raise SystemFileError(f"{_spot(where, pos, tpos)}: monomial must be an object")
             factors = []
             for name, exp in monomial.items():
                 if name not in param_index:
-                    raise SystemFileError(f"{tspot}: unknown parameter {name!r}")
+                    raise SystemFileError(f"{_spot(where, pos, tpos)}: unknown parameter {name!r}")
                 if not isinstance(exp, int) or exp < 1:
                     raise SystemFileError(
-                        f"{tspot}: exponent of {name!r} must be an integer >= 1"
+                        f"{_spot(where, pos, tpos)}: exponent of {name!r} must be an integer >= 1"
                     )
                 factors.append((param_index[name], exp))
             key = tuple(sorted(factors))
             if key in terms:
-                raise SystemFileError(f"{tspot}: duplicate monomial")
+                raise SystemFileError(f"{_spot(where, pos, tpos)}: duplicate monomial")
             terms[key] = coeff
-        entries[(row, col)] = ParamPoly(terms)
-    return entries
+        # the keys are canonical: sorted, one factor per distinct parameter
+        entries[(row, col)] = ParamPoly._of_checked({m: c for m, c in terms.items() if c})
+    entries = {at: poly for at, poly in entries.items() if poly.terms}
+    return ParamMatrix._of_checked(rows, cols, entries, len(param_index))
 
 
 def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSystem, list[str]]:
     """Parse an in-memory system description; returns (system, parameter names)."""
     if not isinstance(doc, dict):
         raise SystemFileError(f"{where}: expected a JSON object")
-    _require_keys(
-        doc,
-        {"schema_version", "n", "parameters", "channels", "A", "B", "C"},
-        {"schema_version", "n", "parameters", "channels", "A", "B", "C"},
-        where,
-    )
+    _require_keys(doc, {"schema_version", "n", "parameters", "channels", "A", "B", "C"}, where)
     if doc["schema_version"] != SCHEMA_VERSION:
         raise SystemFileError(
             f"{where}: unsupported schema_version {doc['schema_version']!r}"
@@ -176,31 +189,21 @@ def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSys
         spot = f"{where}, channel {pos + 1}"
         if not isinstance(ch, dict):
             raise SystemFileError(f"{spot}: expected an object")
-        _require_keys(ch, {"m", "l"}, {"m", "l"}, spot)
+        _require_keys(ch, {"m", "l"}, spot)
         if not all(isinstance(ch[x], int) and ch[x] >= 0 for x in ("m", "l")):
             raise SystemFileError(f"{spot}: m and l must be nonnegative integers")
         channels.append((ch["m"], ch["l"]))
     k = len(channels)
-    A = ParamMatrix(n, n, _parse_entries(doc["A"], n, n, param_index, f"{where}.A"), q)
+    A = _parse_matrix(doc["A"], n, n, param_index, f"{where}.A")
     for block_name, count in (("B", k), ("C", k)):
         if not isinstance(doc[block_name], list) or len(doc[block_name]) != count:
             raise SystemFileError(f"{where}.{block_name}: expected one entry list per channel")
     B_blocks = tuple(
-        ParamMatrix(
-            n,
-            channels[i][0],
-            _parse_entries(doc["B"][i], n, channels[i][0], param_index, f"{where}.B[{i + 1}]"),
-            q,
-        )
+        _parse_matrix(doc["B"][i], n, channels[i][0], param_index, f"{where}.B[{i + 1}]")
         for i in range(k)
     )
     C_blocks = tuple(
-        ParamMatrix(
-            channels[i][1],
-            n,
-            _parse_entries(doc["C"][i], channels[i][1], n, param_index, f"{where}.C[{i + 1}]"),
-            q,
-        )
+        _parse_matrix(doc["C"][i], channels[i][1], n, param_index, f"{where}.C[{i + 1}]")
         for i in range(k)
     )
     try:
@@ -579,13 +582,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argparse's reading of ``argv``, with the ``--set`` pairs of ``fixed-modes`` kept out
+    of its option scan, which grows with the square of the option count.  They come out
+    first only where argparse would read each as one ``--set`` occurrence, in order, and
+    the other tokens as with them in: no ``--`` or ``--set=`` token, and each ``--set``
+    between tokens not starting with '-' (its value is an argument, and no option before
+    it loses a value)."""
+    sets = [i for i, token in enumerate(argv) if token == "--set"]
+    if (
+        argv[:1] != ["fixed-modes"]
+        or any(token == "--" or token.startswith("--set=") for token in argv)
+        or any(i + 1 == len(argv) or "-" in (argv[i - 1][:1], argv[i + 1][:1]) for i in sets)
+    ):
+        sets = []
+    pulled = {j for i in sets for j in (i, i + 1)}
+    args = _build_parser().parse_args([t for j, t in enumerate(argv) if j not in pulled])
+    if sets:
+        args.assignments = [argv[i + 1] for i in sets]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(_sys.argv[1:] if argv is None else list(argv))
     try:
-        for cap in ("trials", "samples"):
+        for cap in ("trials", "samples", "budget"):
             if getattr(args, cap, 1) < 1:
                 raise SystemFileError(f"--{cap} must be at least 1, got {getattr(args, cap)}")
+        if not 0 < getattr(args, "tol", 1.0) < float("inf"):
+            raise SystemFileError(f"--tol must be finite and positive, got {args.tol}")
         if args.command == "analyze":
             report, code = cmd_analyze(
                 args.path,
@@ -610,11 +635,12 @@ def main(argv=None) -> int:
             assignments = {}
             for item in args.assignments or ():
                 name, sep, value = item.partition("=")
-                if not sep or not _COEFF_RE.match(value):
+                coeff = _parse_coeff(value) if sep else None
+                if coeff is None:
                     raise SystemFileError(
                         f"--set expects NAME=NUM or NAME=NUM/DEN, got {item!r}"
                     )
-                assignments[name] = Fraction(value)
+                assignments[name] = coeff
             report, code = cmd_fixed_modes(
                 args.path,
                 assignments,
@@ -653,7 +679,8 @@ def main(argv=None) -> int:
                 )
             return code
         raise AssertionError(f"unhandled command {args.command}")
-    except (SystemFileError, NonBinaryParameterization, NotLinearlyParameterized) as err:
+    # OSError: an output file (--out, --dot) could not be written
+    except (SystemFileError, NonBinaryParameterization, NotLinearlyParameterized, OSError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_USAGE
     except EnumerationBudgetExceeded as err:

@@ -24,10 +24,13 @@ outcome is open:
   raise a singular value (interlacing), so sigma_n(pencil) >=
   sigma_n(block).  A channel whose B side clears thr therefore rules out
   every subset that contains it, and one whose C side clears thr every
-  subset that leaves it out.  The pairs that remain go to
-  ``pencil_rank_deficient``, one batched call per subset.  Only a pencil
-  whose sigma_n rounds onto its own threshold could be decided otherwise,
-  and there the full test itself is not reproducible.
+  subset that leaves it out.  Once one channel clears both sides at lambda,
+  every subset contains it or leaves it out, so none stays open: later
+  channels skip that lambda, as their bits could only rule out subsets
+  already ruled out, and the open pairs are those of the full screen.  The
+  pairs that remain go to ``pencil_rank_deficient``, one batched call per
+  subset.  Only a pencil whose sigma_n rounds onto its own threshold could
+  be decided otherwise, and there the full test itself is not reproducible.
 
 ``random_feedback_oracle`` solves only the part of a closed loop a gain can
 move.  Let P be (A != 0) together with rowsupp(B_i) x colsupp(C_i) for every
@@ -255,7 +258,8 @@ def _one_channel_screen(
     Bit i of the first mask is set when sigma_n([lambda I - A, B_i]) > thr,
     bit i of the second when sigma_n([lambda I - A; C_i]) > thr, with thr the
     upper bound on every subset's rank threshold given in the module
-    docstring.  Each side is one batched SVD per channel.
+    docstring.  Each side is one batched SVD per channel, over the lambdas
+    that no earlier channel cleared on both sides (module docstring).
     """
     A, B, C = nsys._floats
     n = nsys.n
@@ -264,13 +268,20 @@ def _one_channel_screen(
     thr = tol * (n + max(nsys.m, nsys.l)) * np.sqrt(frob2)
     b_pass = np.zeros(lams.size, dtype=np.int64)
     c_pass = np.zeros(lams.size, dtype=np.int64)
+    live = np.arange(lams.size)
     for i, (cols, rows) in enumerate(zip(*nsys._channel_index)):
-        B_i = np.broadcast_to(B[:, cols], (lams.size, n, len(cols)))
-        sigma = np.linalg.svd(np.concatenate((shifted, B_i), axis=2), compute_uv=False)
-        b_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
-        C_i = np.broadcast_to(C[rows], (lams.size, len(rows), n))
-        sigma = np.linalg.svd(np.concatenate((shifted, C_i), axis=1), compute_uv=False)
-        c_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+        if not live.size:
+            break
+        shifted_l, thr_l = shifted[live], thr[live]
+        B_i = np.broadcast_to(B[:, cols], (live.size, n, len(cols)))
+        sigma = np.linalg.svd(np.concatenate((shifted_l, B_i), axis=2), compute_uv=False)
+        b_ok = sigma[:, n - 1] > thr_l
+        b_pass[live] |= np.where(b_ok, 1 << i, 0)
+        C_i = np.broadcast_to(C[rows], (live.size, len(rows), n))
+        sigma = np.linalg.svd(np.concatenate((shifted_l, C_i), axis=1), compute_uv=False)
+        c_ok = sigma[:, n - 1] > thr_l
+        c_pass[live] |= np.where(c_ok, 1 << i, 0)
+        live = live[~(b_ok & c_ok)]
     return b_pass, c_pass
 
 

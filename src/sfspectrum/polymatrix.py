@@ -88,6 +88,13 @@ class ParamPoly:
                 canonical[key] = canonical.get(key, Fraction(0)) + coeff
         self._terms = {m: c for m, c in canonical.items() if c != 0}
 
+    @classmethod
+    def _of_checked(cls, terms: dict[Monomial, Fraction]) -> "ParamPoly":
+        """A polynomial over canonical monomials with nonzero Fraction coefficients."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -472,6 +472,8 @@ def markov_identity(
     most FAILURE_TARGET, degree = d_C + (n - 1) d_A + d_B (module
     docstring), or after ``trials`` points.
     """
+    if trials < 1:  # checked before the early return, as ``_points`` would
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
     if B_S.cols == 0 or C_compl.rows == 0:

@@ -8,9 +8,12 @@ import pytest
 
 from sfspectrum.cli import (
     EXIT_BUDGET,
+    EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_USAGE,
     SystemFileError,
+    _build_parser,
+    _parse_args,
     cmd_analyze,
     cmd_crosscheck,
     cmd_fixed_modes,
@@ -472,3 +475,323 @@ class TestEvaluationPrime:
         doc["C"][0][0]["terms"][0]["coeff"] = f"1/{FALLBACK_PRIME}"
         with pytest.raises(SystemFileError, match="no evaluation prime fits"):
             parse_system_dict(doc)
+
+
+# -- the lean entry parser: the parent's messages and values ----------------------
+
+
+def _set_coeff(block, pos, tpos, value):
+    def mutate(doc):
+        entries = doc["A"] if block == "A" else doc[block[0]][int(block[2]) - 1]
+        entries[pos]["terms"][tpos]["coeff"] = value
+    return mutate
+
+
+def _set_term(key, value):
+    def mutate(doc):
+        doc["A"][0]["terms"][0][key] = value
+    return mutate
+
+
+# each message is the one the parser gave before integer coefficients skipped
+# the string round trip and locations were built only on error
+PARSE_ERRORS = {
+    "A not a list": (
+        lambda d: d.__setitem__("A", {}),
+        "system.A: expected a list of entries",
+    ),
+    "entry not an object": (
+        lambda d: d["A"].__setitem__(0, []),
+        "system.A, entry 0: expected an object",
+    ),
+    "entry missing terms": (
+        lambda d: d["A"][0].pop("terms"),
+        "system.A, entry 0: missing field(s) ['terms']",
+    ),
+    "entry unknown field": (
+        lambda d: d["A"][0].__setitem__("extra", 1),
+        "system.A, entry 0: unknown field(s) ['extra']",
+    ),
+    "row out of range": (
+        lambda d: d["A"][0].__setitem__("row", 2),
+        "system.A, entry 0: row 2 outside 0..1",
+    ),
+    "col not an int": (
+        lambda d: d["A"][0].__setitem__("col", "0"),
+        "system.A, entry 0: col '0' outside 0..1",
+    ),
+    "duplicate entry": (
+        lambda d: d["A"].append(dict(d["A"][0])),
+        "system.A, entry 3: duplicate entry for (0, 0)",
+    ),
+    "duplicate zero entry": (
+        lambda d: d["A"].extend(
+            [{"row": 1, "col": 0, "terms": [{"coeff": "0", "monomial": {}}]}] * 2
+        ),
+        "system.A, entry 4: duplicate entry for (1, 0)",
+    ),
+    "duplicate empty entry": (
+        lambda d: d["A"].extend([{"row": 1, "col": 0, "terms": []}] * 2),
+        "system.A, entry 4: duplicate entry for (1, 0)",
+    ),
+    "terms not a list": (
+        lambda d: d["A"][0].__setitem__("terms", {}),
+        "system.A, entry 0: terms must be a list",
+    ),
+    "term not an object": (
+        lambda d: d["A"][0]["terms"].__setitem__(0, "1"),
+        "system.A, entry 0, term 0: expected an object",
+    ),
+    "term missing monomial": (
+        lambda d: d["A"][0]["terms"][0].pop("monomial"),
+        "system.A, entry 0, term 0: missing field(s) ['monomial']",
+    ),
+    "term unknown field": (
+        _set_term("power", 2),
+        "system.A, entry 0, term 0: unknown field(s) ['power']",
+    ),
+    "decimal coefficient": (
+        _set_coeff("A", 0, 0, "1.5"),
+        "system.A, entry 0, term 0: coefficient must be a decimal-free 'num' or 'num/den' "
+        "string, got '1.5'",
+    ),
+    "integer coefficient": (
+        _set_coeff("A", 0, 0, 3),
+        "system.A, entry 0, term 0: coefficient must be a decimal-free 'num' or 'num/den' "
+        "string, got 3",
+    ),
+    "zero denominator": (
+        _set_coeff("A", 0, 0, "1/0"),
+        "system.A, entry 0, term 0: coefficient must be a decimal-free 'num' or 'num/den' "
+        "string, got '1/0'",
+    ),
+    "padded coefficient": (
+        _set_coeff("A", 0, 0, " 1"),
+        "system.A, entry 0, term 0: coefficient must be a decimal-free 'num' or 'num/den' "
+        "string, got ' 1'",
+    ),
+    "both primes": (
+        _set_coeff("B[2]", 0, 0, f"1/{FIELD_PRIME * FALLBACK_PRIME}"),
+        "system.B[2], entry 0, term 0: coefficient 1/5316911983139663523897030370113093617 "
+        "has a denominator divisible by both evaluation primes 2305843009213693967 and "
+        "2305843009213693951, so no prime field can evaluate it",
+    ),
+    "coefficient in C[2]": (
+        _set_coeff("C[2]", 1, 0, "x"),
+        "system.C[2], entry 1, term 0: coefficient must be a decimal-free 'num' or 'num/den' "
+        "string, got 'x'",
+    ),
+    "monomial not an object": (
+        _set_term("monomial", []),
+        "system.A, entry 0, term 0: monomial must be an object",
+    ),
+    "unknown parameter": (
+        _set_term("monomial", {"p9": 1}),
+        "system.A, entry 0, term 0: unknown parameter 'p9'",
+    ),
+    "zero exponent": (
+        _set_term("monomial", {"p1": 0}),
+        "system.A, entry 0, term 0: exponent of 'p1' must be an integer >= 1",
+    ),
+    "string exponent": (
+        _set_term("monomial", {"p1": "1"}),
+        "system.A, entry 0, term 0: exponent of 'p1' must be an integer >= 1",
+    ),
+    "zero term then the same monomial": (
+        lambda d: d["A"][0].__setitem__("terms", [
+            {"coeff": "0", "monomial": {"p1": 1}}, {"coeff": "2", "monomial": {"p1": 1}}
+        ]),
+        "system.A, entry 0, term 1: duplicate monomial",
+    ),
+}
+
+
+class TestEntryParser:
+    @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+    def test_error_messages_are_unchanged(self, case):
+        mutate, message = PARSE_ERRORS[case]
+        doc = _shared_demo_doc()
+        mutate(doc)
+        with pytest.raises(SystemFileError) as err:
+            parse_system_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text", ["+3", "-0", "3/1", "-6/4", f"1/{FIELD_PRIME}", "5\n", "-7/2\n", "12", "0"]
+    )
+    def test_coefficients_equal_the_fraction_of_their_text(self, text):
+        doc = _shared_demo_doc()
+        doc["A"][0]["terms"] = [{"coeff": text, "monomial": {"p1": 1, "p3": 2}}]
+        doc["A"][0]["terms"].append({"coeff": "4", "monomial": {"p2": 1}})
+        A = parse_system_dict(doc)[0].A
+        # the entry as ParamPoly built it from the term map, zero terms dropped
+        want = ParamPoly({((0, 1), (2, 2)): Fraction(text), ((1, 1),): Fraction(4)})
+        got = dict(A.items())[(0, 0)]
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert (((0, 1), (2, 2)) in got.terms) == (Fraction(text) != 0)
+
+    def test_an_entry_of_zero_terms_is_not_stored(self):
+        doc = _shared_demo_doc()
+        doc["A"].append({"row": 1, "col": 0, "terms": [{"coeff": "0", "monomial": {}}]})
+        doc["A"].append({"row": 0, "col": 1, "terms": []})  # replaces the p1 entry at (0, 1)
+        doc["A"].pop(1)
+        A = parse_system_dict(doc)[0].A
+        assert [pos for pos, _ in A.items()] == [(0, 0), (1, 1)]
+        assert A == ParamMatrix(2, 2, {(0, 0): ParamPoly.param(0), (1, 1): ParamPoly.param(1)}, 4)
+
+    @pytest.mark.parametrize("value", ["0.5", "1/0", "", "p2", "1 ", "--3"])
+    def test_bad_set_values_keep_their_message(self, worked_file, capsys, value):
+        argv = ["fixed-modes", str(worked_file), "--set", f"p1={value}"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: --set expects NAME=NUM or NAME=NUM/DEN, got {'p1=' + value!r}\n"
+        assert main(["fixed-modes", str(worked_file), "--set", "p1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: --set expects NAME=NUM or NAME=NUM/DEN, got 'p1'\n"
+
+    def test_set_values_are_exact(self, worked_file, capsys):
+        argv = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]
+        values = {"p1": "+3", "p2": "-6/4", "p3": "3/1", "p4": f"1/{FIELD_PRIME}"}
+        argv += [f"--set={name}={value}" for name, value in values.items()]
+        assert main(argv) == EXIT_OK
+        point = json.loads(capsys.readouterr().out)["point"]
+        assert point == {name: str(Fraction(value)) for name, value in values.items()}
+
+
+# -- argv: the --set pairs kept out of argparse's scan ------------------------------
+
+# (argv, whether the --set pairs come out before argparse runs)
+SET_ARGVS = [
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set", "p2=-2"], True),
+    (["fixed-modes", "x.json", "--format", "json", "--set", "p1=1", "--samples", "5"], True),
+    (["fixed-modes", "--set", "p1=1", "x.json", "--set", "p2=1/2"], True),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set", "p1=2"], True),
+    (["fixed-modes", "x.json", "--set", "p1=1", "extra"], True),
+    (["fixed-modes", "x.json", "extra", "--set", "p1=1"], True),
+    (["fixed-modes", "--set", "p1=1"], True),
+    (["fixed-modes", "x.json", "--set", ""], True),
+    (["fixed-modes", "x.json", "--set", "p1 = 1"], True),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--unknown"], True),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--se", "p2=1"], True),
+    (["fixed-modes", "x.json", "--tol", "0.5", "--set", "p1=1"], True),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set=p1=2"], False),
+    (["fixed-modes", "x.json", "--set=p1=2", "--set", "p1=1"], False),
+    (["fixed-modes", "x.json", "--set"], False),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set"], False),
+    (["fixed-modes", "x.json", "--set", "--tol"], False),
+    (["fixed-modes", "x.json", "--tol", "--set", "p1=1", "0.5"], False),
+    (["fixed-modes", "x.json", "--seed", "--set", "p1=1"], False),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--", "--set", "p2=1"], False),
+    (["fixed-modes", "--set", "p1=1", "--", "x.json"], False),
+    (["fixed-modes", "x.json", "--se", "p1=1"], False),
+    (["fixed-modes", "x.json", "--set", "-3"], False),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set", "-p2=1"], False),
+    (["fixed-modes", "x.json", "--set", "p1=1", "--set", "--set", "p2=2"], False),
+    (["fixed-modes", "x.json", "-h", "--set", "p1=1"], False),
+    (["analyze", "x.json", "--set", "p1=1"], False),
+    (["--set", "p1=1", "fixed-modes", "x.json"], False),
+    ([], False),
+]
+
+
+def _argparse_outcome(parse, argv, capsys):
+    """The Namespace, or the exit code and output of a refused argv."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestSetPairs:
+    @pytest.mark.parametrize("argv, split", SET_ARGVS)
+    def test_argparse_reads_the_same(self, argv, split, capsys, monkeypatch):
+        parser = _build_parser()
+        argparse_alone = parser.parse_args
+        handed = []
+
+        def spy(args):
+            handed.append(args)
+            return argparse_alone(args)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        got = _argparse_outcome(_parse_args, argv, capsys)
+        want = _argparse_outcome(argparse_alone, argv, capsys)
+        assert got == want
+        # the pairs came out before argparse ran, or argv went to it whole
+        assert (handed == [argv]) != split
+        assert not split or "--set" not in handed[0]
+
+    def test_main_reads_the_pulled_values_in_order(self, worked_file, capsys):
+        base = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]
+        sets = [arg for n in NAMES for arg in ("--set", f"{n}=1")]
+        assert main(base + sets) == EXIT_OK
+        first = capsys.readouterr().out
+        # a repeated name keeps its last value, as argparse's list has it
+        assert main(base + ["--set", "p1=7"] + sets) == EXIT_OK
+        assert capsys.readouterr().out == first
+        assert main(base + sets + ["--set", "p1=7"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["point"]["p1"] == "7"
+
+
+# -- option values ------------------------------------------------------------------
+
+
+def _option_cases():
+    """(command, extra argv, error line) for every refused option value."""
+    cases = []
+    for command in ("analyze", "crosscheck", "fixed-modes"):
+        # argparse itself refuses "-inf": it reads as an option, not a value
+        for value, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")):
+            cases.append((command, ["--tol", value],
+                          f"error: --tol must be finite and positive, got {shown}"))
+    for command in ("analyze", "crosscheck"):
+        for value in ("0", "-5"):
+            cases.append((command, ["--budget", value],
+                          f"error: --budget must be at least 1, got {value}"))
+    return cases
+
+
+class TestOptionValues:
+    @pytest.mark.parametrize("command, extra, line", _option_cases())
+    def test_refused_with_one_error_line(self, worked_file, capsys, command, extra, line):
+        argv = [command, str(worked_file)] + extra
+        if command == "fixed-modes":
+            argv += [arg for n in NAMES for arg in ("--set", f"{n}=1")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{file}", "--out", "{missing}/report.json"],
+            ["analyze", "{file}", "--dot", "{missing}/g.dot"],
+            ["graph", "{file}", "--dot", "{missing}/g.dot"],
+        ],
+    )
+    def test_unwritable_output_is_one_error_line(self, worked_file, tmp_path, capsys, argv):
+        missing = tmp_path / "absent"
+        argv = [a.format(file=worked_file, missing=missing) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(missing) in captured.err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("analyze", ["--tol", "1e-300", "--budget", "1"]), ("crosscheck", ["--budget", "1"]),
+         ("fixed-modes", ["--tol", "0.5"])],
+    )
+    def test_smallest_accepted_values_still_run(self, worked_file, capsys, command, extra):
+        argv = [command, str(worked_file)] + extra
+        if command == "fixed-modes":
+            argv += [arg for n in NAMES for arg in ("--set", f"{n}=1")]
+        assert main(argv) in (EXIT_OK, EXIT_INCONSISTENT, EXIT_BUDGET)
+        assert "must be" not in capsys.readouterr().err

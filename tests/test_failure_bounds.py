@@ -39,7 +39,7 @@ from sfspectrum.structural import (
     markov_identity,
     pencil_drop_at_point,
 )
-from sfspectrum.system import _closure, feedback_pattern, split, stack
+from sfspectrum.system import ChannelSubset, _closure, feedback_pattern, split, stack
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
@@ -298,6 +298,14 @@ class TestReportedBound:
                 route(worked_system, trials=trials)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             grank(worked_system.A, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_markov_identity_checks_its_cap_before_its_early_returns(self, worked_system, trials):
+        # S = {} has no input column and S = {1, 2} leaves no output row, so
+        # both return before any point is drawn; S = {1} samples
+        for members in ((), (0, 1), (0,)):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                markov_identity(worked_system, ChannelSubset(members), trials=trials)
 
     def test_values_follow_the_route_formulas(self):
         seen = set()

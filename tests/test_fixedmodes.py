@@ -387,6 +387,83 @@ class TestScreenedFixedSpectrum:
         assert calls == []
 
 
+def full_one_channel_screen(nsys, lams, tol):
+    """The screen without its early exit: both SVDs of every channel at every lambda."""
+    A, B, C = nsys._floats
+    n = nsys.n
+    shifted = lams.reshape(-1, 1, 1) * np.eye(n) - A
+    frob2 = np.sum(np.abs(shifted) ** 2, axis=(1, 2)) + np.sum(B * B) + np.sum(C * C)
+    thr = tol * (n + max(nsys.m, nsys.l)) * np.sqrt(frob2)
+    b_pass = np.zeros(lams.size, dtype=np.int64)
+    c_pass = np.zeros(lams.size, dtype=np.int64)
+    for i, (cols, rows) in enumerate(zip(*nsys._channel_index)):
+        B_i = np.broadcast_to(B[:, cols], (lams.size, n, len(cols)))
+        sigma = np.linalg.svd(np.concatenate((shifted, B_i), axis=2), compute_uv=False)
+        b_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+        C_i = np.broadcast_to(C[rows], (lams.size, len(rows), n))
+        sigma = np.linalg.svd(np.concatenate((shifted, C_i), axis=1), compute_uv=False)
+        c_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+    return b_pass, c_pass
+
+
+def open_pairs(nsys, b_pass, c_pass):
+    """The (lambda index, subset) pairs no channel bit rules out."""
+    pairs = set()
+    for s in all_subsets(nsys.k):
+        bits = sum(1 << i for i in s.members)
+        for t in np.flatnonzero(((b_pass & bits) == 0) & ((c_pass & ~bits) == 0)):
+            pairs.add((int(t), s.members))
+    return pairs
+
+
+class TestScreenEarlyExit:
+    """Skipping eigenvalues one channel already decided changes no open pair."""
+
+    def test_same_open_pairs_witnesses_and_pencil_tests(self, monkeypatch, classic_numeric):
+        calls = []
+        real_test = fixedmodes.pencil_rank_deficient
+
+        def recorded(*args):
+            calls.append([(np.shape(a), np.asarray(a).dtype, np.asarray(a).tobytes())
+                          for a in args])
+            return real_test(*args)
+
+        monkeypatch.setattr(fixedmodes, "pencil_rank_deficient", recorded)
+        tested = 0
+        for ns in SCREEN_ENSEMBLE + [classic_numeric, chain_with_fixed_mode()]:
+            lams = np.linalg.eigvals(ns.A_array()).astype(complex)
+            assert open_pairs(ns, *_one_channel_screen(ns, lams, 1e-9)) == open_pairs(
+                ns, *full_one_channel_screen(ns, lams, 1e-9)
+            )
+            reps = _cluster(list(map(complex, lams)), 1e-6)
+            outcomes = []
+            for screen in (full_one_channel_screen, _one_channel_screen):
+                monkeypatch.setattr(fixedmodes, "_one_channel_screen", screen)
+                calls.clear()
+                outcomes.append((_witnesses(ns, reps, 1e-9), list(calls)))
+            assert outcomes[1] == outcomes[0]
+            tested += len(calls)
+        assert tested > 50
+
+    def test_fewer_pencils_reach_the_svd(self, monkeypatch):
+        real_svd = np.linalg.svd
+        pencils = []
+
+        def counted(a, *args, **kwargs):
+            pencils.append(int(np.prod(np.shape(a)[:-2])))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        totals = []
+        for screen in (full_one_channel_screen, _one_channel_screen):
+            pencils.clear()
+            for ns in SCREEN_ENSEMBLE:
+                screen(ns, np.linalg.eigvals(ns.A_array()).astype(complex), 1e-9)
+            totals.append(sum(pencils))
+        full, early = totals
+        assert early < full
+
+
 class TestBatchedOracle:
     """Chunked gains give the survivors of the one-gain-at-a-time loop."""
 
