@@ -114,9 +114,9 @@ def _parse_matrix(
         if item.keys() != _ENTRY_KEYS:
             _require_keys(item, _ENTRY_KEYS, _spot(where, pos))
         row, col = item["row"], item["col"]
-        if not (isinstance(row, int) and 0 <= row < rows):
+        if not (type(row) is int and 0 <= row < rows):
             raise SystemFileError(f"{_spot(where, pos)}: row {row!r} outside 0..{rows - 1}")
-        if not (isinstance(col, int) and 0 <= col < cols):
+        if not (type(col) is int and 0 <= col < cols):
             raise SystemFileError(f"{_spot(where, pos)}: col {col!r} outside 0..{cols - 1}")
         if (row, col) in entries:
             raise SystemFileError(f"{_spot(where, pos)}: duplicate entry for ({row}, {col})")
@@ -148,7 +148,7 @@ def _parse_matrix(
             for name, exp in monomial.items():
                 if name not in param_index:
                     raise SystemFileError(f"{_spot(where, pos, tpos)}: unknown parameter {name!r}")
-                if not isinstance(exp, int) or exp < 1:
+                if type(exp) is not int or exp < 1:
                     raise SystemFileError(
                         f"{_spot(where, pos, tpos)}: exponent of {name!r} must be an integer >= 1"
                     )
@@ -168,12 +168,13 @@ def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSys
     if not isinstance(doc, dict):
         raise SystemFileError(f"{where}: expected a JSON object")
     _require_keys(doc, {"schema_version", "n", "parameters", "channels", "A", "B", "C"}, where)
-    if doc["schema_version"] != SCHEMA_VERSION:
+    # integer fields test ``type(x) is int``: a JSON true is a bool, an int subclass
+    if doc["schema_version"] != SCHEMA_VERSION or type(doc["schema_version"]) is bool:
         raise SystemFileError(
             f"{where}: unsupported schema_version {doc['schema_version']!r}"
         )
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SystemFileError(f"{where}: n must be a positive integer")
     names = doc["parameters"]
     if not isinstance(names, list) or not all(isinstance(s, str) and s for s in names):
@@ -190,7 +191,7 @@ def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSys
         if not isinstance(ch, dict):
             raise SystemFileError(f"{spot}: expected an object")
         _require_keys(ch, {"m", "l"}, spot)
-        if not all(isinstance(ch[x], int) and ch[x] >= 0 for x in ("m", "l")):
+        if not all(type(ch[x]) is int and ch[x] >= 0 for x in ("m", "l")):
             raise SystemFileError(f"{spot}: m and l must be nonnegative integers")
         channels.append((ch["m"], ch["l"]))
     k = len(channels)
@@ -523,16 +524,24 @@ def _format_fixed_modes_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error exiting EXIT_USAGE; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sfspectrum",
         description="Decide structurally fixed spectra of parameterized multi-channel systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol: bool):
         p.add_argument("path", help="system file (JSON)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
@@ -542,12 +551,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cap on the sample points per randomized claim; sampling stops "
             "earlier once the claim's failure bound is at most 2^-40 (default 10)",
         )
-        p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_analyze = sub.add_parser("analyze", help="classify and run every decision route")
-    common(p_analyze)
+    common(p_analyze, tol=True)
     p_analyze.add_argument("--dot", metavar="PATH", help="also write the colored graph as DOT")
     p_analyze.add_argument("--out", metavar="PATH", help="write the JSON report to a file")
 
@@ -578,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser(
         "crosscheck", help="compare the rank route and the graph route independently"
     )
-    common(p_cross)
+    common(p_cross, tol=False)
     return parser
 
 

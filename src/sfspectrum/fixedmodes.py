@@ -36,17 +36,19 @@ outcome is open:
 move.  Let P be (A != 0) together with rowsupp(B_i) x colsupp(C_i) for every
 channel i.  An entry of A + B F C outside P is an exact float zero for every
 block-diagonal F: each product in its sum has an exact-zero factor.  So one
-symmetric permutation, to the order of P's strongly connected components,
-makes every closed loop block upper triangular, and its spectrum is the
-union of the spectra of the diagonal blocks.  A component with no entry of
-any rowsupp(B_i) x colsupp(C_i) inside is gain-free: its block equals A's,
-bit for bit, under every F.  The eigenvalues of A over the gain-free states
-are computed once; an eigenvalue of A within tol of one of them is pinned
-(it is in every closed loop) and needs no gain.  Every other eigenvalue is
-more than tol from all pinned ones, so it survives a gain exactly when the
-closed loop over the gain-touched states keeps it.  Those loops use the
-gains a one-gain-at-a-time loop would draw, in the same order, stacked in
-chunks of 1, 2, 4, ... up to 64 gains for one ``eigvals`` call each.
+symmetric permutation, to the order of P's strongly connected components
+(read from ``system.reachability``, as the colored graph's are), makes every
+closed loop block upper triangular, and its spectrum is the union of the
+spectra of the diagonal blocks.  A component with no entry of any
+rowsupp(B_i) x colsupp(C_i) inside is gain-free: its block equals A's, bit
+for bit, under every F.  The eigenvalues of A over the gain-free states are
+computed once; an eigenvalue of A within tol of one of them is pinned (it is
+in every closed loop) and needs no gain.  Every other eigenvalue is more
+than tol from all pinned ones, so it survives a gain exactly when the closed
+loop over the gain-touched states keeps it.  Those loops use the gains a
+one-gain-at-a-time loop would draw, in the same order (slot by slot, in
+``system.feedback_slots`` order), stacked in chunks of 1, 2, 4, ... up to 64
+gains for one ``eigvals`` call each.
 """
 
 from __future__ import annotations
@@ -60,7 +62,14 @@ from typing import Sequence
 import numpy as np
 
 from .polymatrix import ParamPoint
-from .system import ChannelSubset, MultiChannelSystem, all_subsets, channel_spans
+from .system import (
+    ChannelSubset,
+    MultiChannelSystem,
+    all_subsets,
+    channel_spans,
+    feedback_slots,
+    reachability,
+)
 
 __all__ = [
     "NumericSystem",
@@ -185,15 +194,13 @@ class FixedEigenvalue:
 
 @dataclass(frozen=True)
 class FixedSpectrumResult:
-    """Fixed eigenvalues with their witness subsets and the tolerances used.
+    """Fixed eigenvalues with their witness subsets.
 
-    Eigenvalues are multiplicity-agnostic: values closer than cluster_tol
-    are merged and reported once.
+    Eigenvalues are multiplicity-agnostic: values closer than
+    DEFAULT_CLUSTER_TOL are merged and reported once.
     """
 
     fixed_eigenvalues: tuple[FixedEigenvalue, ...]
-    rank_tol: float
-    cluster_tol: float
 
     def values(self) -> list[complex]:
         return [fe.value for fe in self.fixed_eigenvalues]
@@ -239,13 +246,11 @@ def _cluster(values: Sequence[complex], radius: float) -> list[complex]:
     order = sorted(values, key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for z in order:
-        placed = False
         for group in clusters:
             if abs(z - group[0]) <= radius:
                 group.append(z)
-                placed = True
                 break
-        if not placed:
+        else:
             clusters.append([z])
     return [sum(g) / len(g) for g in clusters]
 
@@ -313,45 +318,37 @@ def _witnesses(
     return witnesses
 
 
-def fixed_spectrum(
-    nsys: NumericSystem,
-    tol: float = DEFAULT_RANK_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> FixedSpectrumResult:
+def fixed_spectrum(nsys: NumericSystem, tol: float = DEFAULT_RANK_TOL) -> FixedSpectrumResult:
     """All eigenvalues of A that some channel subset keeps fixed.
 
-    Eigenvalues closer than cluster_tol are merged and tested once; subsets
-    are scanned by increasing cardinality, every witness retained.  The
-    result is that of one ``pencil_rank_deficient`` test per (eigenvalue,
-    subset); conjugate sharing and the one-channel screen (module
-    docstring) skip the tests whose outcome is already decided.
+    Eigenvalues closer than DEFAULT_CLUSTER_TOL are merged and tested once;
+    subsets are scanned by increasing cardinality, every witness retained.
+    The result is that of one ``pencil_rank_deficient`` test per
+    (eigenvalue, subset); conjugate sharing and the one-channel screen
+    (module docstring) skip the tests whose outcome is already decided.
     """
     eigs = np.linalg.eigvals(nsys._floats[0])
-    reps = _cluster(list(map(complex, eigs)), cluster_tol)
+    reps = _cluster(list(map(complex, eigs)), DEFAULT_CLUSTER_TOL)
     fixed = [
         FixedEigenvalue(value=lam, witnesses=tuple(ws))
         for lam, ws in zip(reps, _witnesses(nsys, reps, tol))
         if ws
     ]
-    return FixedSpectrumResult(
-        fixed_eigenvalues=tuple(fixed), rank_tol=tol, cluster_tol=cluster_tol
-    )
+    return FixedSpectrumResult(fixed_eigenvalues=tuple(fixed))
 
 
 def _gain_free_states(nsys: NumericSystem) -> np.ndarray:
     """Mask of the states in a strongly connected component of P with no gain entry.
 
     P = (A != 0) | G, with G the union of rowsupp(B_i) x colsupp(C_i): the
-    entries a block-diagonal gain can reach.  Reachability is closed by
-    repeated squaring; states reaching each other share a component.
+    entries a block-diagonal gain can reach, each entry (i, j) read as an
+    arc i -> j; states reaching each other share a component.
     """
     A, B, C = nsys._floats
     gain = np.zeros((nsys.n, nsys.n), dtype=bool)
     for cols, rows in zip(*nsys._channel_index):
         gain |= np.outer(B[:, cols].any(axis=1), C[rows].any(axis=0))
-    reach = (A != 0) | gain | np.eye(nsys.n, dtype=bool)
-    for _ in range((nsys.n - 1).bit_length()):
-        reach = reach @ reach
+    reach = reachability(nsys.n, zip(*np.nonzero((A != 0) | gain)))
     component = reach & reach.T
     return ~np.any((component @ gain) & component, axis=1)
 
@@ -394,9 +391,8 @@ def random_feedback_oracle(
     live = np.flatnonzero(~pinned & touched.any())
     A_t, B_t, C_t = A[np.ix_(touched, touched)], B[touched], C[:, touched]
     # the block-diagonal slots of F, in drawing order
-    slots = [(r, c) for cols, rows in zip(*nsys._channel_index) for r in cols for c in rows]
-    f_rows = [r for r, _ in slots]
-    f_cols = [c for _, c in slots]
+    slots = feedback_slots(nsys.channels)
+    f_rows, f_cols = np.array(slots, dtype=np.intp).reshape(-1, 2).T
     drawn, chunk = 0, 1
     while live.size and drawn < samples:
         size = min(chunk, samples - drawn)

@@ -10,7 +10,8 @@ unbalanced in cycle-count parity?  That mirrors the closed-loop generic
 rank; a bipartite cycle-cover matching answers it when no cover exists and
 for unitary systems, and a lazy class search answers it for the others.
 Is there a strongly connected component made of state vertices only?  That
-certifies the block-triangular decoupling witness.
+certifies the block-triangular decoupling witness; components, and what
+lies downstream of one, are read from one ``system.reachability`` matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from operator import attrgetter
+
+import numpy as np
 
 from .structural import (
     REASON_GENERIC_RANK,
@@ -28,10 +31,10 @@ from .system import (
     ChannelSubset,
     LinearParamDecomposition,
     MultiChannelSystem,
-    _closure,
     channel_spans,
     detect_linear_parameterization,
-    feedback_pattern,
+    feedback_slots,
+    reachability,
 )
 
 __all__ = [
@@ -120,68 +123,27 @@ class SystemGraph:
         return {src: tuple(sorted(arcs, key=_ARC_ORDER)) for src, arcs in out.items()}
 
 
-def _validate(g: SystemGraph) -> None:
-    """Check the four structural properties of the colored graph."""
-    b_colors, c_colors = set(), set()
-    transitions = {
-        "A": (g.is_state, g.is_state),
-        "B": (g.is_input, g.is_state),
-        "C": (g.is_state, g.is_output),
-        "F": (g.is_output, g.is_input),
-    }
-    for arc in g.arcs:
-        classes = transitions[arc.kind]
-        if not (classes[0](arc.src) and classes[1](arc.dst)):
-            raise ValueError(f"arc {arc} violates vertex-class transitions")
-        if arc.kind == "F":
-            if not (g.q < arc.color <= g.q + g.feedback_colors):
-                raise ValueError(f"feedback arc {arc} outside the fresh color range")
-        else:
-            if not (1 <= arc.color <= g.q):
-                raise ValueError(f"arc {arc} outside the system color range")
-            (b_colors if arc.kind == "B" else c_colors if arc.kind == "C" else set()).add(
-                arc.color
-            )
-    shared = b_colors & c_colors
-    if shared:
-        raise ValueError(f"colors {sorted(shared)} appear in both input and output arcs")
-    if len(set(g.arcs)) != len(g.arcs):
-        raise ValueError("duplicate (src, dst, color) arcs")
-    f_pairs = [(a.src, a.dst) for a in g.arcs if a.kind == "F"]
-    if len(set(f_pairs)) != len(f_pairs):
-        raise ValueError("parallel feedback arcs")
-    # rank-one completion: per color, the A+B (resp. A+C) arcs form a rectangle
-    for kinds in (("A", "B"), ("A", "C")):
-        by_color: dict[int, list[Arc]] = {}
-        for arc in g.arcs:
-            if arc.kind in kinds:
-                by_color.setdefault(arc.color, []).append(arc)
-        for color, arcs in by_color.items():
-            srcs = {a.src for a in arcs}
-            dsts = {a.dst for a in arcs}
-            have = {(a.src, a.dst) for a in arcs}
-            missing = {(s, d) for s in srcs for d in dsts} - have
-            if missing:
-                raise ValueError(
-                    f"color {color} arcs do not complete their rectangle: missing {sorted(missing)}"
-                )
-
-
 def build_graph(
     sys: MultiChannelSystem, decomp: LinearParamDecomposition | None = None
 ) -> SystemGraph:
     """Build the colored multigraph including the feedback-pattern arcs.
 
     Rejects parameterizations that are not binary linear: an unweighted graph
-    cannot represent coefficients other than 0/1.
+    cannot represent coefficients other than 0/1, and a ``decomp`` of
+    another system.  The graph is correct by construction: vertex classes
+    follow from the block offsets, colors from the parameter and feedback
+    slot indices, and each color's arcs fill the rectangle of its term.
     """
     if decomp is None:
         decomp = detect_linear_parameterization(sys)
+    if (decomp.n, decomp.m, decomp.l) != (sys.n, sys.m, sys.l) or any(
+        term.param_index >= sys.q for term in decomp.terms
+    ):
+        raise ValueError("the decomposition does not belong to this system")
     if not decomp.is_binary:
         raise NonBinaryParameterization(
             "graph construction requires a binary linear parameterization"
         )
-    fp = feedback_pattern(sys)
     n, m, l, q = sys.n, sys.m, sys.l, sys.q
     arcs: list[Arc] = []
     for term in decomp.terms:
@@ -198,74 +160,37 @@ def build_graph(
                     raise NonBinaryParameterization(
                         f"parameter p{term.param_index + 1} couples inputs and outputs"
                     )
-    for (i, j), r in sorted(fp.entry_params.items()):
+    slots = feedback_slots(sys.channels)
+    for r, (i, j) in enumerate(slots):
         arcs.append(Arc(src=n + m + j, dst=n + i, color=q + r + 1, kind="F"))
-    g = SystemGraph(
+    return SystemGraph(
         n=n,
         m=m,
         l=l,
         q=q,
-        feedback_colors=fp.param_count,
+        feedback_colors=len(slots),
         channels=sys.channels,
         arcs=tuple(sorted(arcs, key=_ARC_ORDER)),
     )
-    _validate(g)
-    return g
 
 
 # -- strongly connected components ---------------------------------------------
 
 
+def _components(g: SystemGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The reachability matrix, and one row of ``reach & reach.T`` per component.
+
+    Row v marks v's component, and its first set entry is v exactly when v
+    is the component's smallest vertex: the rows come by smallest vertex.
+    """
+    reach = reachability(g.vertex_count, ((arc.src, arc.dst) for arc in g.arcs))
+    mutual = reach & reach.T
+    return reach, mutual[mutual.argmax(axis=1) == np.arange(g.vertex_count)]
+
+
 def strongly_connected_components(g: SystemGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components sorted by smallest vertex."""
-    succ: dict[int, list[int]] = {}
-    for arc in g.arcs:
-        succ.setdefault(arc.src, []).append(arc.dst)
-    succ = {v: sorted(set(ws)) for v, ws in succ.items()}
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(g.vertex_count):
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-    return sorted(components)
+    """Components as sorted vertex lists, sorted by smallest vertex."""
+    return [np.flatnonzero(row).tolist() for row in _components(g)[1]]
 
 
 def state_only_scc_exists(g: SystemGraph) -> bool:
@@ -501,26 +426,20 @@ def _decoupling_witness(g: SystemGraph) -> tuple[ChannelSubset, dict] | None:
     itself sits in the middle block of the block-triangular form.  None when
     no strongly connected component holds only state vertices.
     """
-    comp = next(
-        (c for c in strongly_connected_components(g) if all(g.is_state(v) for v in c)), None
-    )
+    n = g.n
+    reach, rows = _components(g)
+    comp = next((row for row in rows if not row[n:].any()), None)
     if comp is None:
         return None
-    succ: dict[int, list[int]] = {}
-    for arc in g.arcs:
-        succ.setdefault(arc.src, []).append(arc.dst)
-    reach = _closure(comp, succ)
-    middle = sorted(comp)
-    downstream = sorted(v for v in reach if g.is_state(v) and v not in comp)
-    upstream = sorted(v for v in range(g.n) if v not in reach)
+    down = reach[comp.argmax()]  # every vertex reachable from the component
     in_cols = channel_spans(g.channels)[0]
     witness = ChannelSubset(
-        tuple(i for i, cols in enumerate(in_cols) if all(g.n + c in reach for c in cols))
+        tuple(i for i, cols in enumerate(in_cols) if down[n + cols.start : n + cols.stop].all())
     )
     partition = {
-        "upstream_states": [v + 1 for v in upstream],
-        "middle_states": [v + 1 for v in middle],
-        "downstream_states": [v + 1 for v in downstream],
+        "upstream_states": (np.flatnonzero(~down[:n]) + 1).tolist(),
+        "middle_states": (np.flatnonzero(comp[:n]) + 1).tolist(),
+        "downstream_states": (np.flatnonzero(down[:n] & ~comp[:n]) + 1).tolist(),
     }
     return witness, partition
 

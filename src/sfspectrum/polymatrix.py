@@ -326,10 +326,6 @@ class ParamMatrix:
         return cls(rows, cols, None, param_count)
 
     @classmethod
-    def identity(cls, n: int, param_count: int = 0) -> "ParamMatrix":
-        return cls(n, n, {(i, i): ParamPoly.constant(1) for i in range(n)}, param_count)
-
-    @classmethod
     def from_rows(cls, data: Sequence[Sequence], param_count: int) -> "ParamMatrix":
         """Build from a dense list of lists of ParamPoly / int / Fraction."""
         rows = len(data)

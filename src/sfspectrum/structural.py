@@ -79,10 +79,10 @@ from .system import (
     ChannelSubset,
     LinearParamDecomposition,
     MultiChannelSystem,
-    _closure,
     channel_spans,
     detect_linear_parameterization,
-    feedback_pattern,
+    feedback_slots,
+    reachability,
     split,
     stack,
 )
@@ -329,6 +329,14 @@ def pencil_drop_at_point(
     return len(poly_gcd(_point.char_A, char_poly_exact(M, p), p)) > 1
 
 
+def _block_diagonal_gain(sys: MultiChannelSystem, rng: random.Random) -> list[list[int]]:
+    """An m x l block-diagonal gain of uniform residues mod p, drawn slot by slot."""
+    K = [[0] * sys.l for _ in range(sys.m)]
+    for r, c in feedback_slots(sys.channels):
+        K[r][c] = rng.randrange(sys.prime)
+    return K
+
+
 def _no_fixed_mode_at(sys: MultiChannelSystem, point: _SamplePoint, rng: random.Random) -> bool:
     """Exact certificate that no channel subset drops its pencil at this point.
 
@@ -341,11 +349,7 @@ def _no_fixed_mode_at(sys: MultiChannelSystem, point: _SamplePoint, rng: random.
     if not any(m_i and l_i for m_i, l_i in sys.channels):
         return False  # no channel closes a loop: every eigenvalue of A is fixed
     p = sys.prime
-    K = [[0] * sys.l for _ in range(sys.m)]
-    for rows, cols in zip(*channel_spans(sys.channels)):
-        for r in rows:
-            for c in cols:
-                K[r][c] = rng.randrange(p)
+    K = _block_diagonal_gain(sys, rng)
     M = _mat_add_mod(point.A, _mat_mul_mod(point.B, _mat_mul_mod(K, point.C, p), p), p)
     return len(poly_gcd(point.char_A, char_poly_exact(M, p), p)) == 1
 
@@ -543,13 +547,9 @@ def generic_dims(
     B_S, C_compl = split(sys, s)
     n = sys.n
     p = sys.prime
-    forward: dict[int, list[int]] = {}
-    backward: dict[int, list[int]] = {}
-    for (i, j), _ in sys.A.items():
-        forward.setdefault(j, []).append(i)
-        backward.setdefault(i, []).append(j)
-    ctrb_cap = len(_closure({i for (i, _), _ in B_S.items()}, forward))
-    obs_cap = len(_closure({j for (_, j), _ in C_compl.items()}, backward))
+    reach = reachability(n, ((j, i) for (i, j), _ in sys.A.items()))
+    ctrb_cap = int(reach[[i for (i, _), _ in B_S.items()]].any(axis=0).sum())
+    obs_cap = int(reach[:, [j for (_, j), _ in C_compl.items()]].any(axis=1).sum())
     best_ctrb = best_obs = 0
 
     def reaches_caps(_):
@@ -577,7 +577,6 @@ def closed_loop_generic_rank(
     n max(d_A, d_B + d_C + 1) (module docstring), or after ``trials``
     points.
     """
-    fp = feedback_pattern(sys)
     B, C = stack(sys)
     rng = random.Random(seed)
     p = sys.prime
@@ -586,13 +585,11 @@ def closed_loop_generic_rank(
     def full_rank(_):
         nonlocal best
         values = [rng.randrange(p) for _ in range(sys.q)]
-        f_values = [rng.randrange(p) for _ in range(fp.param_count)]
+        K = _block_diagonal_gain(sys, rng)
         closed = sys.A.evaluate_at(values, p)
         if sys.m and sys.l:
-            Bn = B.evaluate_at(values, p)
-            Cn = C.evaluate_at(values, p)
-            Fn = fp.F.evaluate_at(f_values, p)
-            closed = _mat_add_mod(closed, _mat_mul_mod(_mat_mul_mod(Bn, Fn, p), Cn, p), p)
+            BK = _mat_mul_mod(B.evaluate_at(values, p), K, p)
+            closed = _mat_add_mod(closed, _mat_mul_mod(BK, C.evaluate_at(values, p), p), p)
         best = max(best, rank_exact(closed, p))
         return best == sys.n
 

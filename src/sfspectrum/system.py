@@ -4,10 +4,13 @@ A k-channel system couples a state matrix A with per-channel input blocks B_i
 and output blocks C_i, all parameterized over one shared vector of q
 algebraically independent parameters.  This module lays out
 (``channel_spans``), stacks and splits the channel blocks, builds the
-block-diagonal feedback pattern that decentralized output feedback admits,
-and classifies the parameterization (polynomial / linear / binary /
-unitary) by factoring each parameter's constant derivative matrix of
-[A B; C 0] into a rank-one product.
+block-diagonal feedback pattern that decentralized output feedback admits
+(``feedback_slots`` orders its gain entries), and classifies the
+parameterization (polynomial / linear / binary / unitary) by factoring each
+parameter's constant derivative matrix of [A B; C 0] into a rank-one
+product.  ``reachability`` answers every "what reaches what" question of the
+package: the components of the colored graph, the Krylov caps of
+``structural.generic_dims`` and the gain-free components of ``fixedmodes``.
 
 Detection reads the blocks in place: one pass over the stored entries of A,
 each B_i and each C_i, at their offsets in [A B; C 0], with no stacked copy.
@@ -25,6 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 from .polymatrix import ParamMatrix, ParamPoly, evaluation_prime
 
 __all__ = [
@@ -37,6 +42,8 @@ __all__ = [
     "NotLinearlyParameterized",
     "all_subsets",
     "channel_spans",
+    "feedback_slots",
+    "reachability",
     "stack",
     "split",
     "feedback_pattern",
@@ -180,16 +187,25 @@ def channel_spans(channels) -> tuple[tuple[range, ...], tuple[range, ...]]:
     return tuple(cols), tuple(rows)
 
 
-def _closure(starts, arcs: dict[int, list[int]]) -> set[int]:
-    """The vertices reachable from ``starts`` along ``arcs`` (starts included)."""
-    seen = set(starts)
-    todo = list(seen)
-    while todo:
-        for w in arcs.get(todo.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+def feedback_slots(channels) -> list[tuple[int, int]]:
+    """The (input, output) entries of a block-diagonal m x l gain, channel by
+    channel, each block row-major: slot r is the r-th feedback parameter or gain drawn."""
+    return [(r, c) for cols, rows in zip(*channel_spans(channels)) for r in cols for c in rows]
+
+
+def reachability(size: int, arcs) -> np.ndarray:
+    """Reflexive-transitive closure of the arcs (src, dst) on vertices 0..size-1.
+
+    A boolean matrix, closed by repeated squaring: entry (u, v) is set iff
+    v is reachable from u (u included).  The strongly connected components
+    are the distinct rows of ``reach & reach.T``.
+    """
+    reach = np.eye(size, dtype=bool)
+    pairs = np.array(list(arcs), dtype=np.intp).reshape(-1, 2)
+    reach[pairs[:, 0], pairs[:, 1]] = True
+    for _ in range((size - 1).bit_length()):
+        reach = reach @ reach
+    return reach
 
 
 def stack(sys: MultiChannelSystem) -> tuple[ParamMatrix, ParamMatrix]:
@@ -226,7 +242,7 @@ class FeedbackPattern:
 
     F: ParamMatrix
     channels: tuple[tuple[int, int], ...]
-    # entry (row, col) -> fresh parameter index, for graph construction
+    # entry (row, col) -> fresh parameter index, in ``feedback_slots`` order
     entry_params: dict[tuple[int, int], int] = field(compare=False)
 
     @property
@@ -236,11 +252,7 @@ class FeedbackPattern:
 
 def feedback_pattern(sys: MultiChannelSystem) -> FeedbackPattern:
     """Fresh-parameter block-diagonal pattern for decentralized feedback."""
-    entry_params: dict[tuple[int, int], int] = {}
-    for rows, cols in zip(*channel_spans(sys.channels)):
-        for r in rows:
-            for c in cols:
-                entry_params[(r, c)] = len(entry_params)
+    entry_params = {slot: r for r, slot in enumerate(feedback_slots(sys.channels))}
     entries = {key: ParamPoly.param(r) for key, r in entry_params.items()}
     return FeedbackPattern(
         F=ParamMatrix(sys.m, sys.l, entries, len(entry_params)),

@@ -1,5 +1,6 @@
 """System file parsing, report generation, subcommands, and exit codes."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from sfspectrum.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SystemFileError,
+    _Parser,
     _build_parser,
     _parse_args,
     cmd_analyze,
@@ -660,6 +662,64 @@ class TestEntryParser:
         assert point == {name: str(Fraction(value)) for name, value in values.items()}
 
 
+# -- integer fields refuse JSON true and false ----------------------------------------
+
+# bool is an int subclass: an isinstance(x, int) check would read each of these as 0 or 1
+BOOL_FIELDS = {
+    "schema_version": (
+        lambda d: d.__setitem__("schema_version", True),
+        "system: unsupported schema_version True",
+    ),
+    "n": (lambda d: d.__setitem__("n", True), "system: n must be a positive integer"),
+    "channel m": (
+        lambda d: d["channels"][0].__setitem__("m", True),
+        "system, channel 1: m and l must be nonnegative integers",
+    ),
+    "channel l": (
+        lambda d: d["channels"][1].__setitem__("l", False),
+        "system, channel 2: m and l must be nonnegative integers",
+    ),
+    "row": (
+        lambda d: d["A"][0].__setitem__("row", True),
+        "system.A, entry 0: row True outside 0..1",
+    ),
+    "col": (
+        lambda d: d["C"][0][0].__setitem__("col", False),
+        "system.C[1], entry 0: col False outside 0..1",
+    ),
+    "exponent": (
+        _set_term("monomial", {"p1": True}),
+        "system.A, entry 0, term 0: exponent of 'p1' must be an integer >= 1",
+    ),
+}
+
+
+class TestBoolFields:
+    @pytest.mark.parametrize("case", sorted(BOOL_FIELDS))
+    def test_refused_with_a_message_naming_the_field(self, case):
+        mutate, message = BOOL_FIELDS[case]
+        doc = _shared_demo_doc()
+        mutate(doc)
+        with pytest.raises(SystemFileError) as err:
+            parse_system_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "field, line",
+        [("schema_version", "unsupported schema_version True"),
+         ("n", "n must be a positive integer")],
+    )
+    def test_analyze_refuses_a_true_field(self, tmp_path, capsys, field, line):
+        path = classic_chain_file(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[field] = True
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {line}\n"
+
+
 # -- argv: the --set pairs kept out of argparse's scan ------------------------------
 
 # (argv, whether the --set pairs come out before argparse runs)
@@ -693,6 +753,8 @@ SET_ARGVS = [
     (["analyze", "x.json", "--set", "p1=1"], False),
     (["--set", "p1=1", "fixed-modes", "x.json"], False),
     ([], False),
+    (["analyze"], False),
+    (["analyze", "x.json", "--trials", "x"], False),
 ]
 
 
@@ -725,6 +787,18 @@ class TestSetPairs:
         assert (handed == [argv]) != split
         assert not split or "--set" not in handed[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["analyze"], ["analyze", "x.json", "--trials", "x"], ["graph", "x.json", "--tol", "1"]],
+    )
+    def test_usage_errors_exit_1_with_the_text_of_argparse(self, argv, capsys, monkeypatch):
+        got = _argparse_outcome(_parse_args, argv, capsys)
+        monkeypatch.setattr(_Parser, "error", argparse.ArgumentParser.error)
+        want = _argparse_outcome(_parse_args, argv, capsys)
+        # the same usage and message on stderr; exit 1, not argparse's 2
+        assert want[0] == ("exit", 2) and want[2].startswith("usage: sfspectrum")
+        assert got == (("exit", EXIT_USAGE), want[1], want[2])
+
     def test_main_reads_the_pulled_values_in_order(self, worked_file, capsys):
         base = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]
         sets = [arg for n in NAMES for arg in ("--set", f"{n}=1")]
@@ -741,17 +815,23 @@ class TestSetPairs:
 
 
 def _option_cases():
-    """(command, extra argv, error line) for every refused option value."""
+    """(command, extra argv, error line) for every refused option value.
+
+    A case keeps the id it had when crosscheck also took --tol (cases 4 to 7).
+    """
     cases = []
-    for command in ("analyze", "crosscheck", "fixed-modes"):
-        # argparse itself refuses "-inf": it reads as an option, not a value
-        for value, shown in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")):
-            cases.append((command, ["--tol", value],
-                          f"error: --tol must be finite and positive, got {shown}"))
-    for command in ("analyze", "crosscheck"):
-        for value in ("0", "-5"):
-            cases.append((command, ["--budget", value],
-                          f"error: --budget must be at least 1, got {value}"))
+    # argparse itself refuses "-inf": it reads as an option, not a value
+    tol_values = (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))
+    for command, first in (("analyze", 0), ("fixed-modes", 8)):
+        for i, (value, shown) in enumerate(tol_values):
+            line = f"error: --tol must be finite and positive, got {shown}"
+            cases.append(pytest.param(command, ["--tol", value], line,
+                                      id=f"{command}-extra{first + i}-{line}"))
+    for command, first in (("analyze", 12), ("crosscheck", 14)):
+        for i, value in enumerate(("0", "-5")):
+            line = f"error: --budget must be at least 1, got {value}"
+            cases.append(pytest.param(command, ["--budget", value], line,
+                                      id=f"{command}-extra{first + i}-{line}"))
     return cases
 
 
@@ -765,6 +845,14 @@ class TestOptionValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line + "\n"
+
+    def test_crosscheck_takes_no_tol(self, worked_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", str(worked_file), "--tol", "1e-9"])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("sfspectrum: error: unrecognized arguments: --tol 1e-9\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -39,11 +39,23 @@ from sfspectrum.structural import (
     markov_identity,
     pencil_drop_at_point,
 )
-from sfspectrum.system import ChannelSubset, _closure, feedback_pattern, split, stack
+from sfspectrum.system import ChannelSubset, feedback_pattern, split, stack
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
 SMALL_PRIME = 101
+
+
+def _closure(starts, arcs: dict[int, list[int]]) -> set[int]:
+    """The vertices reachable from ``starts`` along ``arcs`` (starts included)."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for w in arcs.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 # -- the routes that confirmed every claim at all `trials` points ---------------

@@ -31,13 +31,23 @@ from sfspectrum.graph import (
     _Steps,
     strongly_connected_components,
 )
-from sfspectrum.system import all_subsets, split
+from sfspectrum.cli import parse_system, parse_system_dict
+from sfspectrum.system import (
+    ChannelSubset,
+    all_subsets,
+    channel_spans,
+    classify,
+    detect_linear_parameterization,
+    split,
+)
 from sfspectrum.structural import (
     REASON_GENERIC_RANK,
     REASON_PROPER_SUBSPACE,
     StructuralVerdict,
 )
 from sfspectrum.ensembles import random_binary_system
+from conftest import perfbench_module, two_channel_shared_params
+from test_golden_reports import CASES, DEMOS
 
 p = ParamPoly.param
 
@@ -197,6 +207,48 @@ def single_loop_system() -> MultiChannelSystem:
     )
 
 
+def golden_binary_systems() -> list[MultiChannelSystem]:
+    """The binary systems among the golden ``analyze`` cases."""
+    systems = [
+        parse_system(DEMOS / source)[0] if isinstance(source, str) else source()
+        for source, _, _ in CASES.values()
+    ]
+    return [sys_ for sys_ in systems if classify(sys_).binary]
+
+
+def graph_corpus(seed: int) -> list[MultiChannelSystem]:
+    """The systems of the benchmark's ``graph`` corpus of ``seed``."""
+    workloads = perfbench_module("workloads")
+    w = workloads.Graph()
+    walk = workloads.generate(w.name, seed, w.cells, w.variants, w.density)
+    return [parse_system_dict(doc)[0] for _, doc, _ in walk]
+
+
+def assert_well_formed(g: SystemGraph) -> None:
+    """Every property the colored graph has by construction."""
+    ends = {
+        "A": (g.is_state, g.is_state),
+        "B": (g.is_input, g.is_state),
+        "C": (g.is_state, g.is_output),
+        "F": (g.is_output, g.is_input),
+    }
+    for a in g.arcs:
+        assert ends[a.kind][0](a.src) and ends[a.kind][1](a.dst), a
+        fresh = a.kind == "F"
+        assert (g.q < a.color <= g.q + g.feedback_colors) if fresh else (1 <= a.color <= g.q), a
+    colors = {kind: {a.color for a in g.arcs if a.kind == kind} for kind in "ABCF"}
+    assert not colors["B"] & colors["C"]
+    assert len(set(g.arcs)) == len(g.arcs)
+    feedback = [(a.src, a.dst) for a in g.arcs if a.kind == "F"]
+    assert len(set(feedback)) == len(feedback) == len(colors["F"]) == g.feedback_colors
+    # a color's state-and-input arcs, and its state-and-output arcs, fill a rectangle
+    for kinds in ("AB", "AC"):
+        for color in colors[kinds[0]] | colors[kinds[1]]:
+            pairs = {(a.src, a.dst) for a in g.arcs if a.kind in kinds and a.color == color}
+            srcs, dsts = {src for src, _ in pairs}, {dst for _, dst in pairs}
+            assert pairs == set(itertools.product(srcs, dsts)), (color, kinds)
+
+
 class TestBuildGraph:
     def test_worked_example_arcs(self, worked_system):
         g = build_graph(worked_system)
@@ -247,17 +299,35 @@ class TestBuildGraph:
         assert feedback_colors == {g.q + 1, g.q + 2}
 
     def test_vertex_class_transitions(self):
-        for seed in range(15):
-            g = build_graph(random_binary_system(seed=seed + 100))
-            for a in g.arcs:
-                if a.kind == "A":
-                    assert g.is_state(a.src) and g.is_state(a.dst)
-                elif a.kind == "B":
-                    assert g.is_input(a.src) and g.is_state(a.dst)
-                elif a.kind == "C":
-                    assert g.is_state(a.src) and g.is_output(a.dst)
-                else:
-                    assert g.is_output(a.src) and g.is_input(a.dst)
+        systems = [random_binary_system(seed=seed + 100) for seed in range(40)]
+        systems += [random_binary_system(seed, max_n=6, max_k=3) for seed in range(40)]
+        systems += golden_binary_systems()
+        assert len(systems) > 80
+        for sys_ in systems:
+            assert_well_formed(build_graph(sys_))
+
+    def test_a_decomposition_of_another_system_is_refused(self):
+        systems = [random_binary_system(seed=seed) for seed in range(40)]
+        decomps = [detect_linear_parameterization(sys_) for sys_ in systems]
+        refused = 0
+        for sys_, decomp in itertools.product(systems, decomps):
+            if (decomp.n, decomp.m, decomp.l) != (sys_.n, sys_.m, sys_.l):
+                with pytest.raises(ValueError, match="does not belong to this system"):
+                    build_graph(sys_, decomp)
+                refused += 1
+        assert refused == 1546
+        # the same shape over fewer parameters: the worked example's p4 is past q
+        fewer = MultiChannelSystem(
+            n=2,
+            channels=((1, 1), (1, 1)),
+            A=ParamMatrix.from_rows([[p(0), 0], [0, p(1)]], 3),
+            B_blocks=(ParamMatrix.from_rows([[p(2)], [0]], 3), ParamMatrix.zeros(2, 1, 3)),
+            C_blocks=(ParamMatrix.zeros(1, 2, 3), ParamMatrix.zeros(1, 2, 3)),
+            q=3,
+        )
+        decomp = detect_linear_parameterization(two_channel_shared_params())
+        with pytest.raises(ValueError, match="does not belong to this system"):
+            build_graph(fewer, decomp)
 
 
 class TestStateOnlyScc:
@@ -283,6 +353,117 @@ class TestStateOnlyScc:
         comps = strongly_connected_components(g)
         seen = sorted(v for comp in comps for v in comp)
         assert seen == list(range(g.vertex_count))
+
+
+def tarjan_components(g: SystemGraph) -> list[list[int]]:
+    """Tarjan's algorithm, iterative: the components the graph route used to compute."""
+    succ: dict[int, list[int]] = {}
+    for arc in g.arcs:
+        succ.setdefault(arc.src, []).append(arc.dst)
+    succ = {v: sorted(set(ws)) for v, ws in succ.items()}
+    index: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(g.vertex_count):
+        if root in index:
+            continue
+        work = [(root, iter(succ.get(root, ())))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(comp))
+    return sorted(components)
+
+
+def search_decoupling_witness(g: SystemGraph):
+    """The decoupling witness as the graph route used to find it: Tarjan, then a search."""
+    comp = next((c for c in tarjan_components(g) if all(g.is_state(v) for v in c)), None)
+    if comp is None:
+        return None
+    succ: dict[int, list[int]] = {}
+    for arc in g.arcs:
+        succ.setdefault(arc.src, []).append(arc.dst)
+    reach, todo = set(comp), list(comp)
+    while todo:
+        for w in succ.get(todo.pop(), ()):
+            if w not in reach:
+                reach.add(w)
+                todo.append(w)
+    in_cols = channel_spans(g.channels)[0]
+    witness = ChannelSubset(
+        tuple(i for i, cols in enumerate(in_cols) if all(g.n + c in reach for c in cols))
+    )
+    partition = {
+        "upstream_states": [v + 1 for v in range(g.n) if v not in reach],
+        "middle_states": [v + 1 for v in sorted(comp)],
+        "downstream_states": sorted(v + 1 for v in reach if g.is_state(v) and v not in comp),
+    }
+    return witness, partition
+
+
+def reachability_graphs() -> list[SystemGraph]:
+    """The binary ensembles, unitary systems with a planted component, an arcless
+    graph and the benchmark's ``graph`` corpus of seed 7."""
+    systems = [random_binary_system(seed + 4242, max_n=5) for seed in range(40)]
+    systems += [random_binary_system(seed, max_n=8, max_k=3) for seed in range(40)]
+    systems += [
+        random_unitary_system(seed, n=6, k=2, density=0.3, plant=plant)
+        for seed in range(10)
+        for plant in (None, "isolated", "sourceless")
+    ]
+    systems += graph_corpus(7)
+    arcless = SystemGraph(n=3, m=1, l=2, q=0, feedback_colors=0, channels=((1, 2),), arcs=())
+    return [arcless] + [build_graph(sys_) for sys_ in systems]
+
+
+class TestReachability:
+    def test_components_equal_tarjans(self):
+        graphs = reachability_graphs()
+        for g in graphs:
+            comps = strongly_connected_components(g)
+            assert comps == tarjan_components(g)
+            assert all(type(v) is int for comp in comps for v in comp)
+        assert strongly_connected_components(graphs[0]) == [[v] for v in range(6)]
+
+    def test_decoupling_witness_equals_the_search(self):
+        found = 0
+        for g in reachability_graphs():
+            got = _decoupling_witness(g)
+            assert got == search_decoupling_witness(g)
+            found += got is not None
+        assert found >= 20
 
 
 class TestEnumerate:
