@@ -32,6 +32,7 @@ from .system import (
 )
 from .fixedmodes import (
     FixedSpectrumResult,
+    FloatRangeError,
     NumericSystem,
     fixed_spectrum,
     pencil_rank_deficient,
@@ -83,6 +84,7 @@ __all__ = [
     "detect_linear_parameterization",
     "classify",
     "NumericSystem",
+    "FloatRangeError",
     "FixedSpectrumResult",
     "pencil_rank_deficient",
     "fixed_spectrum",

@@ -21,6 +21,7 @@ from pathlib import Path
 from .fixedmodes import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_RANK_TOL,
+    FloatRangeError,
     NumericSystem,
     fixed_spectrum,
     random_feedback_oracle,
@@ -168,8 +169,9 @@ def parse_system_dict(doc: dict, where: str = "system") -> tuple[MultiChannelSys
     if not isinstance(doc, dict):
         raise SystemFileError(f"{where}: expected a JSON object")
     _require_keys(doc, {"schema_version", "n", "parameters", "channels", "A", "B", "C"}, where)
-    # integer fields test ``type(x) is int``: a JSON true is a bool, an int subclass
-    if doc["schema_version"] != SCHEMA_VERSION or type(doc["schema_version"]) is bool:
+    # integer fields test ``type(x) is int``: a JSON true is a bool, an int subclass,
+    # and a JSON 1.0 is a float equal to 1
+    if type(doc["schema_version"]) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise SystemFileError(
             f"{where}: unsupported schema_version {doc['schema_version']!r}"
         )
@@ -362,15 +364,18 @@ def cmd_analyze(
         rng = random.Random(rng_seed)
         values = tuple(Fraction(rng.randint(-30, 30)) for _ in range(system.q))
         point = ParamPoint(values=values, seed=rng_seed)
-        numeric = NumericSystem.from_system(system, point)
-        result = fixed_spectrum(numeric, tol=tol)
-        samples.append(
-            {
-                "point": {names[idx]: str(v) for idx, v in enumerate(values)},
-                "seed": rng_seed,
-                "fixed_eigenvalues": _fixed_spectrum_doc(result),
-            }
-        )
+        sample = {
+            "point": {names[idx]: str(v) for idx, v in enumerate(values)},
+            "seed": rng_seed,
+        }
+        try:
+            result = fixed_spectrum(NumericSystem.from_system(system, point), tol=tol)
+        except FloatRangeError as err:  # this sample only; the verdicts are exact
+            sample["fixed_eigenvalues"] = None
+            sample["failure"] = str(err)
+        else:
+            sample["fixed_eigenvalues"] = _fixed_spectrum_doc(result)
+        samples.append(sample)
     report["fixed_spectrum_samples"] = samples
     if dot is not None and cls.binary:
         Path(dot).write_text(
@@ -496,12 +501,15 @@ def _format_analyze_text(report: dict) -> str:
     lines.append(f"routes agree: {report['consistency']['agree']}")
     for sample in report["fixed_spectrum_samples"]:
         eigs = sample["fixed_eigenvalues"]
-        shown = (
-            ", ".join(
-                f"{e['eigenvalue']['re']:.6g}{e['eigenvalue']['im']:+.6g}j" for e in eigs
+        if eigs is None:
+            shown = f"not computed ({sample['failure']})"
+        else:
+            shown = (
+                ", ".join(
+                    f"{e['eigenvalue']['re']:.6g}{e['eigenvalue']['im']:+.6g}j" for e in eigs
+                )
+                or "empty"
             )
-            or "empty"
-        )
         lines.append(f"fixed spectrum at sample (seed {sample['seed']}): {shown}")
     return "\n".join(lines) + "\n"
 
@@ -689,8 +697,15 @@ def main(argv=None) -> int:
                 )
             return code
         raise AssertionError(f"unhandled command {args.command}")
-    # OSError: an output file (--out, --dot) could not be written
-    except (SystemFileError, NonBinaryParameterization, NotLinearlyParameterized, OSError) as err:
+    # OSError: an output file (--out, --dot) could not be written; FloatRangeError: the
+    # fixed-modes point gives an entry beyond the float range
+    except (
+        SystemFileError,
+        NonBinaryParameterization,
+        NotLinearlyParameterized,
+        OSError,
+        FloatRangeError,
+    ) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_USAGE
     except EnumerationBudgetExceeded as err:

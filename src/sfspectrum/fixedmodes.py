@@ -6,6 +6,15 @@ below rank n.  This module runs that test over all eigenvalues and subsets,
 and provides a definition-level oracle that intersects closed-loop spectra
 over many random block-diagonal feedback gains.
 
+A ``NumericSystem`` is built once per sample and changes no bit of the dense
+build it replaces.  ``from_system`` evaluates only the stored entries of each
+matrix, in integers (``ParamPoly.evaluate``), and records their positions.
+The float views start as zeros and convert only those entries (the nonzeros
+for a system given densely) with float(), which rounds a Fraction correctly,
+as np.array(..., dtype=float) does; an entry beyond the float range raises
+``FloatRangeError``.  The eigenvalues of the float A are solved once and
+read by both ``fixed_spectrum`` and ``random_feedback_oracle``.
+
 ``fixed_spectrum`` decides each (eigenvalue, subset) pair exactly as one
 ``pencil_rank_deficient`` test would, but runs that test only where its
 outcome is open:
@@ -54,7 +63,7 @@ gains for one ``eigvals`` call each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -73,6 +82,7 @@ from .system import (
 
 __all__ = [
     "NumericSystem",
+    "FloatRangeError",
     "FixedEigenvalue",
     "FixedSpectrumResult",
     "pencil_rank_deficient",
@@ -85,8 +95,16 @@ DEFAULT_CLUSTER_TOL = 1e-6
 ORACLE_CHUNK = 64  # most gains stacked into one eigvals call; bounds the buffers
 
 
+class FloatRangeError(OverflowError):
+    """An exact entry of a numeric system is too large for a float."""
+
+
 def _exact_matrix(data) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in data)
+
+
+def _nonzeros(M) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i, row in enumerate(M) for j, x in enumerate(row) if x)
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,11 @@ class NumericSystem:
     A: tuple[tuple[Fraction, ...], ...]
     B_blocks: tuple[tuple[tuple[Fraction, ...], ...], ...]
     C_blocks: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    # per matrix (A, each B_i, each C_i): positions outside which every entry is an
+    # exact zero, set by ``from_system``; None means the nonzero entries, found by a scan
+    _support: tuple[tuple[tuple[int, int], ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -124,17 +147,25 @@ class NumericSystem:
 
     @classmethod
     def from_system(cls, sys: MultiChannelSystem, point: ParamPoint) -> "NumericSystem":
-        """Evaluate a parameterized system at a rational parameter point."""
+        """Evaluate a parameterized system at a rational parameter point.
+
+        Each matrix is evaluated once, over its stored entries; the sample
+        records their positions, so its float views convert only those.
+        """
         if point.modulus is not None:
             raise ValueError("numeric systems require a rational point")
+        mats = (sys.A, *sys.B_blocks, *sys.C_blocks)
         # a rational evaluation already yields Fraction entries
-        return cls(
+        A, *blocks = (tuple(map(tuple, M.evaluate(point))) for M in mats)
+        nsys = cls(
             n=sys.n,
             channels=sys.channels,
-            A=tuple(map(tuple, sys.A.evaluate(point))),
-            B_blocks=tuple(tuple(map(tuple, B.evaluate(point))) for B in sys.B_blocks),
-            C_blocks=tuple(tuple(map(tuple, C.evaluate(point))) for C in sys.C_blocks),
+            A=A,
+            B_blocks=tuple(blocks[: sys.k]),
+            C_blocks=tuple(blocks[sys.k :]),
         )
+        object.__setattr__(nsys, "_support", tuple(tuple(M._entries) for M in mats))
+        return nsys
 
     @property
     def k(self) -> int:
@@ -152,18 +183,41 @@ class NumericSystem:
 
     @cached_property
     def _floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only float A, stacked B (n x m) and stacked C (l x n), built once."""
-        A = np.array(self.A, dtype=float).reshape(self.n, self.n)
-        B = np.zeros((self.n, self.m))
-        C = np.zeros((self.l, self.n))
-        for cols, rows, B_i, C_i in zip(*self._channel_index, self.B_blocks, self.C_blocks):
-            if cols:
-                B[:, cols] = np.array(B_i, dtype=float)
-            if rows:
-                C[rows] = np.array(C_i, dtype=float)
+        """Read-only float A, stacked B (n x m) and stacked C (l x n), built once.
+
+        Each starts as zeros, and only the entries at the support positions
+        are converted, with float(): it rounds a Fraction correctly, as
+        np.array(..., dtype=float) does, so the bits are those of a dense
+        conversion.  An entry too large for a float raises FloatRangeError.
+        """
+        n = self.n
+        A, B, C = np.zeros((n, n)), np.zeros((n, self.m)), np.zeros((self.l, n))
+        cols, rows = self._channel_index
+        views = (
+            [("A", A)]
+            + [(f"B[{i + 1}]", B[:, c.start : c.stop]) for i, c in enumerate(cols)]
+            + [(f"C[{i + 1}]", C[r.start : r.stop]) for i, r in enumerate(rows)]
+        )
+        exact = (self.A, *self.B_blocks, *self.C_blocks)
+        support = self._support or tuple(map(_nonzeros, exact))
+        for (name, view), M, at in zip(views, exact, support):
+            for i, j in at:
+                try:
+                    view[i, j] = float(M[i][j])
+                except OverflowError:
+                    raise FloatRangeError(
+                        f"entry ({i}, {j}) of {name} evaluates to a value too large for a float"
+                    ) from None
         for M in (A, B, C):
             M.setflags(write=False)
         return A, B, C
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """Read-only eigenvalues of the float A, solved once for every route."""
+        eigs = np.linalg.eigvals(self._floats[0])
+        eigs.setflags(write=False)
+        return eigs
 
     @cached_property
     def _channel_index(self) -> tuple[tuple[range, ...], tuple[range, ...]]:
@@ -327,8 +381,7 @@ def fixed_spectrum(nsys: NumericSystem, tol: float = DEFAULT_RANK_TOL) -> FixedS
     (eigenvalue, subset); conjugate sharing and the one-channel screen
     (module docstring) skip the tests whose outcome is already decided.
     """
-    eigs = np.linalg.eigvals(nsys._floats[0])
-    reps = _cluster(list(map(complex, eigs)), DEFAULT_CLUSTER_TOL)
+    reps = _cluster(list(map(complex, nsys._eigenvalues)), DEFAULT_CLUSTER_TOL)
     fixed = [
         FixedEigenvalue(value=lam, witnesses=tuple(ws))
         for lam, ws in zip(reps, _witnesses(nsys, reps, tol))
@@ -381,7 +434,7 @@ def random_feedback_oracle(
     A, B, C = nsys._floats
     scale = max(1.0, float(np.linalg.norm(A)))
     # the fixed spectrum is a set: merge repeated eigenvalues of A up front
-    survivors = _cluster(list(map(complex, np.linalg.eigvals(A))), tol)
+    survivors = _cluster(list(map(complex, nsys._eigenvalues)), tol)
     values = np.array(survivors, dtype=complex)
     free = _gain_free_states(nsys)
     pins = np.linalg.eigvals(A[np.ix_(free, free)]) if free.any() else values[:0]

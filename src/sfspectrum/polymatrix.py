@@ -193,13 +193,28 @@ class ParamPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, values: Sequence[Rational]) -> Fraction:
-        total = Fraction(0)
+        """The value at a point of exact rationals (ints or Fractions).
+
+        Integer arithmetic: each term is an integer numerator over an integer
+        denominator, the terms are summed over a common denominator, and one
+        Fraction is normalized at the end.  Fractions are canonical, so it
+        equals the termwise Fraction sum.  A value that a monomial uses and
+        that is not an exact rational raises TypeError.
+        """
+        num, den = 0, 1
         for mono, coeff in self._terms.items():
-            term = coeff
+            t_num, t_den = coeff.numerator, coeff.denominator
             for idx, exp in mono:
-                term *= _as_fraction(values[idx]) ** exp
-            total += term
-        return total
+                value = values[idx]
+                if type(value) is not Fraction and type(value) is not int:
+                    value = _as_fraction(value)
+                t_num *= value.numerator**exp
+                t_den *= value.denominator**exp
+            if t_den == den:
+                num += t_num
+            else:
+                num, den = num * t_den + t_num * den, den * t_den
+        return Fraction(num, den)
 
     def evaluate_mod(self, values: Sequence[int], modulus: int) -> int:
         total = 0

@@ -720,6 +720,79 @@ class TestBoolFields:
         assert captured.err == f"error: {path}: {line}\n"
 
 
+class TestSchemaVersionType:
+    def test_a_float_version_equal_to_1_is_refused(self):
+        doc = _shared_demo_doc()
+        doc["schema_version"] = 1.0
+        with pytest.raises(SystemFileError) as err:
+            parse_system_dict(doc)
+        assert str(err.value) == "system: unsupported schema_version 1.0"
+
+    def test_analyze_refuses_it(self, tmp_path, capsys):
+        path = tmp_path / "float_version.json"
+        path.write_text(json.dumps(_shared_demo_doc()).replace(
+            '"schema_version": 1,', '"schema_version": 1.0,'), encoding="utf-8")
+        assert main(["analyze", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: unsupported schema_version 1.0\n"
+
+
+# -- a numeric sample whose entries leave the float range ----------------------------
+
+HUGE_FAILURE = "entry (1, 0) of B[1] evaluates to a value too large for a float"
+
+
+@pytest.fixture
+def huge_entry_file(tmp_path):
+    """The shared demo with B_1 = p1^1000000: beyond the float range unless |p1| <= 1."""
+    doc = _shared_demo_doc()
+    doc["B"][0][0]["terms"] = [{"coeff": "1", "monomial": {"p1": 1000000}}]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestFailedSample:
+    def test_analyze_keeps_its_report(self, huge_entry_file, capsys):
+        assert main(["analyze", str(huge_entry_file), "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["consistency"]["agree"] and report["verdicts"]["pencil_sampling"]
+        samples = report["fixed_spectrum_samples"]
+        failed = [sample for sample in samples if sample["fixed_eigenvalues"] is None]
+        # p1 is -1 at the third point, so that sample stays finite
+        assert [sample["point"]["p1"] for sample in samples] == ["10", "-21", "-1"]
+        assert failed == samples[:2]
+        assert all(sample["failure"] == HUGE_FAILURE for sample in failed)
+        assert samples[2]["fixed_eigenvalues"] == [] and "failure" not in samples[2]
+
+    def test_analyze_text_says_not_computed(self, huge_entry_file, capsys):
+        assert main(["analyze", str(huge_entry_file)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[-3:] == [
+            f"fixed spectrum at sample (seed 7919): not computed ({HUGE_FAILURE})",
+            f"fixed spectrum at sample (seed 15838): not computed ({HUGE_FAILURE})",
+            "fixed spectrum at sample (seed 23757): empty",
+        ]
+
+    def test_fixed_modes_prints_one_error_line(self, huge_entry_file, capsys):
+        argv = ["fixed-modes", str(huge_entry_file), "--set", "p1=2", "--set", "p2=1",
+                "--set", "p3=1", "--set", "p4=1"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {HUGE_FAILURE}\n"
+        # at p1 = 1 the entry is 1 and the point is reported as usual
+        argv[3] = "p1=1"
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "routes agree: True" in captured.out
+
+
 # -- argv: the --set pairs kept out of argparse's scan ------------------------------
 
 # (argv, whether the --set pairs come out before argparse runs)

@@ -10,13 +10,18 @@ import pytest
 
 from sfspectrum import (
     ChannelSubset,
+    MultiChannelSystem,
     NumericSystem,
+    ParamMatrix,
+    ParamPoint,
+    ParamPoly,
     fixed_spectrum,
     pencil_rank_deficient,
     random_feedback_oracle,
     rank_exact,
 )
-from sfspectrum.ensembles import random_numeric_system
+from sfspectrum.ensembles import random_binary_system, random_numeric_system
+from sfspectrum.polymatrix import FIELD_PRIME, _as_fraction
 from sfspectrum import fixedmodes
 from sfspectrum.fixedmodes import (
     ORACLE_CHUNK,
@@ -26,8 +31,10 @@ from sfspectrum.fixedmodes import (
     _witnesses,
 )
 from sfspectrum.system import all_subsets
-from sfspectrum.cli import EXIT_OK, main
+from sfspectrum.cli import EXIT_OK, main, parse_system
 from conftest import chain_with_fixed_mode, perfbench_module, spectra_match
+from test_golden_linear import random_linear_system
+from test_golden_reports import CASES as GOLDEN_CASES, DEMOS as GOLDEN_DEMOS
 
 
 def empty_cols(n):
@@ -817,6 +824,130 @@ class TestBorderedRankEquivalence:
                     rank_exact(perturbed(A, B, C, rng)) >= n for _ in range(50)
                 )
         assert deficient_seen and full_seen
+
+
+# -- the numeric sample: built once, in integers over the stored entries ------------
+
+
+def _termwise_evaluate(poly, values):
+    """Test-local copy of the earlier ``ParamPoly.evaluate``: Fraction arithmetic per term."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for idx, exp in mono:
+            term *= _as_fraction(values[idx]) ** exp
+        total += term
+    return total
+
+
+def _termwise_dense(M, values):
+    out = [[Fraction(0)] * M.cols for _ in range(M.rows)]
+    for (i, j), poly in M.items():
+        out[i][j] = _termwise_evaluate(poly, values)
+    return tuple(map(tuple, out))
+
+
+def _dense_floats(nsys):
+    """Test-local copy of the earlier ``NumericSystem._floats``: every exact entry converted."""
+    A = np.array(nsys.A, dtype=float).reshape(nsys.n, nsys.n)
+    B = np.zeros((nsys.n, nsys.m))
+    C = np.zeros((nsys.l, nsys.n))
+    for cols, rows, B_i, C_i in zip(*nsys._channel_index, nsys.B_blocks, nsys.C_blocks):
+        if cols:
+            B[:, cols] = np.array(B_i, dtype=float)
+        if rows:
+            C[rows] = np.array(C_i, dtype=float)
+    return A, B, C
+
+
+def assert_sample_unchanged(system, values):
+    """The sample's exact entries equal the termwise ones, and both float view paths
+    (stored positions, scanned nonzeros) have the bits of the dense conversion."""
+    nsys = NumericSystem.from_system(system, ParamPoint(values=tuple(values), seed=0))
+    mats = (system.A, *system.B_blocks, *system.C_blocks)
+    got = (nsys.A, *nsys.B_blocks, *nsys.C_blocks)
+    assert got == tuple(_termwise_dense(M, values) for M in mats)
+    assert all(type(x) is Fraction for M in got for row in M for x in row)
+    scanned = NumericSystem(n=nsys.n, channels=nsys.channels, A=nsys.A,
+                            B_blocks=nsys.B_blocks, C_blocks=nsys.C_blocks)
+    for sample in (nsys, scanned):
+        for view, dense in zip(sample._floats, _dense_floats(nsys)):
+            assert view.shape == dense.shape and view.tobytes() == dense.tobytes()
+            assert not view.flags.writeable
+
+
+def _rational_values(rng, q):
+    pool = (0, 1, -1, 2, -30, 29, Fraction(-7, 3), Fraction(5, 8), Fraction(1, 3), -2)
+    return [rng.choice(pool) if rng.random() < 0.5 else Fraction(rng.randint(-30, 30),
+                                                                   rng.randint(1, 9))
+            for _ in range(q)]
+
+
+class TestSampleBuild:
+    def test_demo_golden_and_ensemble_systems(self):
+        systems = [parse_system(path)[0] for path in sorted(GOLDEN_DEMOS.glob("*.json"))]
+        systems += [source() for source, _, _ in GOLDEN_CASES.values() if callable(source)]
+        systems += [random_binary_system(seed, max_n=6, max_k=3) for seed in range(40)]
+        systems += [random_linear_system(seed) for seed in range(40)]
+        rng = random.Random(19)
+        for system in systems:
+            for _ in range(3):
+                assert_sample_unchanged(system, _rational_values(rng, system.q))
+            assert_sample_unchanged(system, [Fraction(rng.randint(-30, 30)) for _ in range(system.q)])
+            assert_sample_unchanged(system, [rng.randint(-30, 30) for _ in range(system.q)])
+
+    def test_powers_denominators_zeros_and_a_field_prime_denominator(self):
+        x, y, z = (ParamPoly.param(i) for i in range(3))
+        cube = ParamPoly({((0, 3),): Fraction(2, 7)})
+        square_mixed = ParamPoly({((0, 2), (1, 1)): Fraction(-3, 4), ((2, 3),): 5})
+        tiny = ParamPoly({((1, 1),): Fraction(1, FIELD_PRIME)})
+        # x^2 - y*z vanishes at (3, 9/2, 2): a stored entry that evaluates to 0
+        vanishing = x * x - y * z
+        system = MultiChannelSystem(
+            n=3,
+            channels=((1, 1), (2, 0)),
+            A=ParamMatrix.from_rows([[cube, vanishing, 0], [tiny, 0, square_mixed],
+                                     [x - 3, Fraction(-5, 3), y * y * y]], 3),
+            B_blocks=(ParamMatrix.from_rows([[0], [x * y], [Fraction(1, 6)]], 3),
+                      ParamMatrix.from_rows([[z, 0], [0, 0], [vanishing, tiny]], 3)),
+            C_blocks=(ParamMatrix.from_rows([[square_mixed, 0, z - 2]], 3),
+                      ParamMatrix.zeros(0, 3, 3)),
+            q=3,
+        )
+        for values in ([3, Fraction(9, 2), 2], [Fraction(-7, 3), Fraction(5, 2), Fraction(-1, 9)],
+                       [0, 0, 0], [Fraction(-7, 3), 1, Fraction(10**30, 7)]):
+            assert_sample_unchanged(system, values)
+        nsys = NumericSystem.from_system(system, ParamPoint(values=(3, Fraction(9, 2), 2), seed=0))
+        assert nsys.A[0][1] == 0 and nsys.A[2][0] == 0 and nsys.B_blocks[1][2][0] == 0
+
+    def test_a_float_value_raises_type_error(self):
+        poly = ParamPoly.param(0) * 3 + 1
+        for bad in (0.5, 2.0, "1"):
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                poly.evaluate([bad])
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                ParamMatrix.from_rows([[poly]], 1).evaluate_at([bad])
+        system = random_binary_system(3, max_n=4)
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            NumericSystem.from_system(system, ParamPoint(values=(0.5,) * system.q, seed=0))
+
+    def test_one_eigen_solve_of_A_per_sample(self, monkeypatch):
+        solved = []
+        real = np.linalg.eigvals
+
+        def recorded(a):
+            solved.append(a)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        for seed in range(30):
+            nsys = random_numeric_system(seed)
+            solved.clear()
+            fixed_spectrum(nsys)
+            random_feedback_oracle(nsys, samples=50, seed=seed)
+            fixed_spectrum(nsys)
+            A = nsys._floats[0]
+            assert sum(a is A for a in solved) == 1
 
 
 class TestNumericSystemValidation:

@@ -1,5 +1,6 @@
 """The decision procedures: pencil sampling and the algebraic route."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,8 +34,11 @@ from sfspectrum.structural import (
     poly_gcd,
 )
 from sfspectrum.polymatrix import FIELD_PRIME, _points, rank_exact
-from sfspectrum.system import all_subsets, split
+from sfspectrum import structural
+from sfspectrum.cli import parse_system_dict
+from sfspectrum.system import all_subsets, reachability, split
 from sfspectrum.ensembles import random_binary_system
+from conftest import perfbench_module
 
 p = ParamPoly.param
 F = Fraction
@@ -599,7 +603,47 @@ class TestKrylovCap:
             assert points == expected
 
 
+def _linear_scale_systems(seed: int, count: int):
+    """The first ``count`` systems of the benchmark's linear-scale corpus."""
+    workloads = perfbench_module("workloads")
+    w = workloads.LinearScale()
+    walk = workloads.generate(w.name, seed, w.cells, w.variants, w.density)
+    return [parse_system_dict(doc)[0] for _, doc, _ in itertools.islice(walk, count)]
+
+
 class TestDecideLinear:
+    def test_one_reachability_for_all_subsets(self, monkeypatch):
+        # the closure decide_linear passes as _reach gives the caps, dims and
+        # diagnostics of generic_dims computing its own, and is built at most once
+        systems = _linear_scale_systems(1, 20) + [random_binary_system(seed, max_n=6, max_k=3)
+                                                  for seed in range(20)]
+        built = []
+        own = structural.generic_dims
+
+        def without_reach(*args, _reach=None, **kwargs):
+            assert _reach is not None
+            return own(*args, **kwargs)
+
+        def counted(*args):
+            built.append(args[0])
+            return reachability(*args)
+
+        dims_seen = 0
+        for sys_ in systems:
+            monkeypatch.setattr(structural, "generic_dims", without_reach)
+            reference = decide_linear(sys_, seed=5)
+            monkeypatch.setattr(structural, "generic_dims", own)
+            monkeypatch.setattr(structural, "reachability", counted)
+            built.clear()
+            verdict = decide_linear(sys_, seed=5)
+            monkeypatch.setattr(structural, "reachability", reachability)
+            dims = sum("ctrb_dim" in entry for entry in verdict.diagnostics["subsets"])
+            assert len(built) == min(dims, 1)
+            assert (verdict.has_sfs, verdict.reason, verdict.witness, verdict.diagnostics) == \
+                (reference.has_sfs, reference.reason, reference.witness, reference.diagnostics)
+            dims_seen += dims
+        assert dims_seen > len(systems)
+
     def test_worked_example_no_sfs(self, worked_system):
         verdict = decide_linear(worked_system, seed=6)
         assert not verdict.has_sfs
