@@ -6,14 +6,9 @@ below rank n.  This module runs that test over all eigenvalues and subsets,
 and provides a definition-level oracle that intersects closed-loop spectra
 over many random block-diagonal feedback gains.
 
-A ``NumericSystem`` is built once per sample and changes no bit of the dense
-build it replaces.  ``from_system`` evaluates only the stored entries of each
-matrix, in integers (``ParamPoly.evaluate``), and records their positions.
-The float views start as zeros and convert only those entries (the nonzeros
-for a system given densely) with float(), which rounds a Fraction correctly,
-as np.array(..., dtype=float) does; an entry beyond the float range raises
-``FloatRangeError``.  The eigenvalues of the float A are solved once and
-read by both ``fixed_spectrum`` and ``random_feedback_oracle``.
+A ``NumericSystem`` is built once per sample: its float views
+(``NumericSystem._floats``) and the eigenvalues of its float A, which both
+``fixed_spectrum`` and ``random_feedback_oracle`` read, are computed once.
 
 ``fixed_spectrum`` decides each (eigenvalue, subset) pair exactly as one
 ``pencil_rank_deficient`` test would, but runs that test only where its
@@ -63,7 +58,7 @@ gains for one ``eigvals`` call each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -116,11 +111,6 @@ class NumericSystem:
     A: tuple[tuple[Fraction, ...], ...]
     B_blocks: tuple[tuple[tuple[Fraction, ...], ...], ...]
     C_blocks: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    # per matrix (A, each B_i, each C_i): positions outside which every entry is an
-    # exact zero, set by ``from_system``; None means the nonzero entries, found by a scan
-    _support: tuple[tuple[tuple[int, int], ...], ...] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -147,25 +137,17 @@ class NumericSystem:
 
     @classmethod
     def from_system(cls, sys: MultiChannelSystem, point: ParamPoint) -> "NumericSystem":
-        """Evaluate a parameterized system at a rational parameter point.
-
-        Each matrix is evaluated once, over its stored entries; the sample
-        records their positions, so its float views convert only those.
-        """
+        """Evaluate a parameterized system at a rational parameter point."""
         if point.modulus is not None:
             raise ValueError("numeric systems require a rational point")
-        mats = (sys.A, *sys.B_blocks, *sys.C_blocks)
         # a rational evaluation already yields Fraction entries
-        A, *blocks = (tuple(map(tuple, M.evaluate(point))) for M in mats)
-        nsys = cls(
+        return cls(
             n=sys.n,
             channels=sys.channels,
-            A=A,
-            B_blocks=tuple(blocks[: sys.k]),
-            C_blocks=tuple(blocks[sys.k :]),
+            A=tuple(map(tuple, sys.A.evaluate(point))),
+            B_blocks=tuple(tuple(map(tuple, B.evaluate(point))) for B in sys.B_blocks),
+            C_blocks=tuple(tuple(map(tuple, C.evaluate(point))) for C in sys.C_blocks),
         )
-        object.__setattr__(nsys, "_support", tuple(tuple(M._entries) for M in mats))
-        return nsys
 
     @property
     def k(self) -> int:
@@ -185,8 +167,8 @@ class NumericSystem:
     def _floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only float A, stacked B (n x m) and stacked C (l x n), built once.
 
-        Each starts as zeros, and only the entries at the support positions
-        are converted, with float(): it rounds a Fraction correctly, as
+        Each starts as zeros, and only the nonzero exact entries are
+        converted, with float(): it rounds a Fraction correctly, as
         np.array(..., dtype=float) does, so the bits are those of a dense
         conversion.  An entry too large for a float raises FloatRangeError.
         """
@@ -198,10 +180,8 @@ class NumericSystem:
             + [(f"B[{i + 1}]", B[:, c.start : c.stop]) for i, c in enumerate(cols)]
             + [(f"C[{i + 1}]", C[r.start : r.stop]) for i, r in enumerate(rows)]
         )
-        exact = (self.A, *self.B_blocks, *self.C_blocks)
-        support = self._support or tuple(map(_nonzeros, exact))
-        for (name, view), M, at in zip(views, exact, support):
-            for i, j in at:
+        for (name, view), M in zip(views, (self.A, *self.B_blocks, *self.C_blocks)):
+            for i, j in _nonzeros(M):
                 try:
                     view[i, j] = float(M[i][j])
                 except OverflowError:

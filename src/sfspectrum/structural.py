@@ -82,7 +82,6 @@ from .system import (
     channel_spans,
     detect_linear_parameterization,
     feedback_slots,
-    reachability,
     split,
     stack,
 )
@@ -516,18 +515,8 @@ def _krylov_dim(rows, M, p: int) -> int:
     return len(basis)
 
 
-def _pattern_reach(sys: MultiChannelSystem):
-    """Reachability of A's stored entries read as arcs j -> i (``generic_dims``)."""
-    return reachability(sys.n, ((j, i) for (i, j), _ in sys.A.items()))
-
-
 def generic_dims(
-    sys: MultiChannelSystem,
-    s: ChannelSubset,
-    trials: int = 10,
-    seed: int = 0,
-    *,
-    _reach=None,
+    sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
 ) -> GenericDims:
     """Generic controllable dimension of (A, B_S) and unobservable of (C_compl, A).
 
@@ -552,14 +541,12 @@ def generic_dims(
     reach |R| and |O| they are exact.  Otherwise sampling stops once
     2^(k+1) (degree / p)^t is at most FAILURE_TARGET, degree the sum of the
     two Krylov minor degrees (module docstring), or after ``trials`` points.
-    ``decide_linear`` computes that reachability once for all its subsets
-    and passes it as ``_reach``.
     """
     rng = random.Random(seed)
     B_S, C_compl = split(sys, s)
     n = sys.n
     p = sys.prime
-    reach = _pattern_reach(sys) if _reach is None else _reach
+    reach = sys.pattern_reach
     ctrb_cap = int(reach[[i for (i, _), _ in B_S.items()]].any(axis=0).sum())
     obs_cap = int(reach[:, [j for (_, j), _ in C_compl.items()]].any(axis=1).sum())
     best_ctrb = best_obs = 0
@@ -656,16 +643,12 @@ def decide_linear(
             reason=REASON_GENERIC_RANK,
             diagnostics=diagnostics,
         )
-    witness = reach = None
+    witness = None
     for s in sys.subsets():
         zero_transfer = markov_identity(sys, s, trials=trials, seed=rng.randrange(2**32))
         entry = {"subset": [i + 1 for i in s.members], "markov_zero": zero_transfer}
         if zero_transfer:
-            if reach is None:
-                reach = _pattern_reach(sys)
-            dims = generic_dims(
-                sys, s, trials=trials, seed=rng.randrange(2**32), _reach=reach
-            )
+            dims = generic_dims(sys, s, trials=trials, seed=rng.randrange(2**32))
             entry["ctrb_dim"] = dims.ctrb_dim
             entry["unobs_dim"] = dims.unobs_dim
             if dims.ctrb_dim < dims.unobs_dim:

@@ -10,7 +10,8 @@ parameterization (polynomial / linear / binary / unitary) by factoring each
 parameter's constant derivative matrix of [A B; C 0] into a rank-one
 product.  ``reachability`` answers every "what reaches what" question of the
 package: the components of the colored graph, the Krylov caps of
-``structural.generic_dims`` and the gain-free components of ``fixedmodes``.
+``structural.generic_dims`` (read from ``MultiChannelSystem.pattern_reach``,
+built once per system) and the gain-free components of ``fixedmodes``.
 
 Detection reads the blocks in place: one pass over the stored entries of A,
 each B_i and each C_i, at their offsets in [A B; C 0], with no stacked copy.
@@ -173,6 +174,13 @@ class MultiChannelSystem:
             max((B.degree() for B in self.B_blocks), default=0),
             max((C.degree() for C in self.C_blocks), default=0),
         )
+
+    @cached_property
+    def pattern_reach(self) -> np.ndarray:
+        """Read-only ``reachability`` of A's stored entries read as arcs j -> i."""
+        reach = reachability(self.n, ((j, i) for (i, j), _ in self.A.items()))
+        reach.setflags(write=False)
+        return reach
 
 
 def channel_spans(channels) -> tuple[tuple[range, ...], tuple[range, ...]]:
