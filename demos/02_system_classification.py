@@ -11,9 +11,9 @@ from sfspectrum import (
     ParamMatrix,
     ParamPoly,
     classify,
-    feedback_pattern,
     stack,
 )
+from sfspectrum.system import feedback_slots
 
 p = ParamPoly.param
 
@@ -45,8 +45,7 @@ B, C = stack(system)
 print("stacked B:", [[str(B.entry(i, j)) for j in range(B.cols)] for i in range(B.rows)])
 print("stacked C:", [[str(C.entry(i, j)) for j in range(C.cols)] for i in range(C.rows)])
 
-fp = feedback_pattern(system)
-print("feedback pattern has", fp.param_count, "fresh gains (block diagonal)")
+print("block-diagonal feedback has", len(feedback_slots(system.channels)), "gain slots")
 
 # Moving p1 onto a diagonal instead of a rectangle is NOT linear: the
 # derivative matrix becomes the identity, which has rank two.

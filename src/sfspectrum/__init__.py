@@ -15,18 +15,15 @@ from .polymatrix import (
     field_point,
     grank,
     rank_exact,
-    rational_point,
 )
 from .system import (
     ChannelSubset,
     Classification,
-    FeedbackPattern,
     LinearParamDecomposition,
     MultiChannelSystem,
     NotLinearlyParameterized,
     classify,
     detect_linear_parameterization,
-    feedback_pattern,
     split,
     stack,
 )
@@ -71,16 +68,13 @@ __all__ = [
     "grank",
     "rank_exact",
     "field_point",
-    "rational_point",
     "MultiChannelSystem",
     "ChannelSubset",
-    "FeedbackPattern",
     "LinearParamDecomposition",
     "Classification",
     "NotLinearlyParameterized",
     "stack",
     "split",
-    "feedback_pattern",
     "detect_linear_parameterization",
     "classify",
     "NumericSystem",

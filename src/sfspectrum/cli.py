@@ -644,10 +644,10 @@ def main(argv=None) -> int:
                     "binary linear parameterization",
                     file=_sys.stderr,
                 )
-            text = report_json(report) if args.format == "json" else _format_analyze_text(report)
+            doc = report_json(report) if args.out or args.format == "json" else None
             if args.out:
-                Path(args.out).write_text(report_json(report), encoding="utf-8", newline="\n")
-            _sys.stdout.write(text)
+                Path(args.out).write_text(doc, encoding="utf-8", newline="\n")
+            _sys.stdout.write(doc if args.format == "json" else _format_analyze_text(report))
             return code
         if args.command == "fixed-modes":
             assignments = {}

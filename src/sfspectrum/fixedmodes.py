@@ -7,8 +7,8 @@ and provides a definition-level oracle that intersects closed-loop spectra
 over many random block-diagonal feedback gains.
 
 A ``NumericSystem`` is built once per sample: its float views
-(``NumericSystem._floats``) and the eigenvalues of its float A, which both
-``fixed_spectrum`` and ``random_feedback_oracle`` read, are computed once.
+(``NumericSystem._floats``) and the clustered eigenvalues of its float A,
+which ``fixed_spectrum`` and the oracle read, are computed once.
 
 ``fixed_spectrum`` decides each (eigenvalue, subset) pair exactly as one
 ``pencil_rank_deficient`` test would, but runs that test only where its
@@ -46,10 +46,10 @@ closed loop block upper triangular, and its spectrum is the union of the
 spectra of the diagonal blocks.  A component with no entry of any
 rowsupp(B_i) x colsupp(C_i) inside is gain-free: its block equals A's, bit
 for bit, under every F.  The eigenvalues of A over the gain-free states are
-computed once; an eigenvalue of A within tol of one of them is pinned (it is
-in every closed loop) and needs no gain.  Every other eigenvalue is more
-than tol from all pinned ones, so it survives a gain exactly when the closed
-loop over the gain-touched states keeps it.  Those loops use the gains a
+computed once; an eigenvalue of A within DEFAULT_CLUSTER_TOL of one of
+them is pinned (it is in every closed loop) and needs no gain.  Every other
+eigenvalue is farther from all pinned ones, so it survives a gain exactly
+when the closed loop over the gain-touched states keeps it.  Those loops use the gains a
 one-gain-at-a-time loop would draw, in the same order (slot by slot, in
 ``system.feedback_slots`` order), stacked in chunks of 1, 2, 4, ... up to 64
 gains for one ``eigvals`` call each.
@@ -193,11 +193,10 @@ class NumericSystem:
         return A, B, C
 
     @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        """Read-only eigenvalues of the float A, solved once for every route."""
+    def _eigenvalues(self) -> tuple[complex, ...]:
+        """The eigenvalues of the float A, merged within DEFAULT_CLUSTER_TOL (a set)."""
         eigs = np.linalg.eigvals(self._floats[0])
-        eigs.setflags(write=False)
-        return eigs
+        return tuple(_cluster(list(map(complex, eigs)), DEFAULT_CLUSTER_TOL))
 
     @cached_property
     def _channel_index(self) -> tuple[tuple[range, ...], tuple[range, ...]]:
@@ -361,7 +360,7 @@ def fixed_spectrum(nsys: NumericSystem, tol: float = DEFAULT_RANK_TOL) -> FixedS
     (eigenvalue, subset); conjugate sharing and the one-channel screen
     (module docstring) skip the tests whose outcome is already decided.
     """
-    reps = _cluster(list(map(complex, nsys._eigenvalues)), DEFAULT_CLUSTER_TOL)
+    reps = nsys._eigenvalues
     fixed = [
         FixedEigenvalue(value=lam, witnesses=tuple(ws))
         for lam, ws in zip(reps, _witnesses(nsys, reps, tol))
@@ -390,22 +389,21 @@ def random_feedback_oracle(
     nsys: NumericSystem,
     samples: int = 1000,
     seed: int = 0,
-    tol: float = DEFAULT_CLUSTER_TOL,
 ) -> list[complex]:
     """Definition-level oracle: intersect closed-loop spectra over random gains.
 
     Starts from the spectrum of A itself (zero feedback is admissible) and
-    keeps the eigenvalues that persist, within tol, across random
-    block-diagonal gains with entries uniform in [-1, 1] scaled by the norm
-    of A.  One-sided: may over-approximate with vanishing probability.
+    keeps the eigenvalues that persist, within DEFAULT_CLUSTER_TOL, across
+    random block-diagonal gains with entries uniform in [-1, 1] scaled by
+    the norm of A.  One-sided: may over-approximate with vanishing probability.
 
     ``samples`` is the number of gains the loop may draw.  Every closed loop
     is block upper triangular in the component order of its pattern (module
-    docstring), so an eigenvalue within tol of the spectrum of A over the
-    gain-free components is pinned: it is in every closed loop and needs no
-    gain.  The others are tested on the closed loop over the gain-touched
-    states only, with the gains drawn one after another, channel by channel,
-    and stacked in chunks of 1, 2, 4, ... up to ORACLE_CHUNK for one
+    docstring), so an eigenvalue within DEFAULT_CLUSTER_TOL of the spectrum
+    of A over the gain-free components is pinned: it is in every closed
+    loop and needs no gain.  The others are tested on the closed loop over
+    the gain-touched states only, with the gains drawn one after another,
+    channel by channel, and stacked in chunks of 1, 2, 4, ... up to ORACLE_CHUNK for one
     ``eigvals`` call each.  The loop stops once none of them survives.
     """
     if samples < 1:
@@ -413,12 +411,10 @@ def random_feedback_oracle(
     rng = random.Random(seed)
     A, B, C = nsys._floats
     scale = max(1.0, float(np.linalg.norm(A)))
-    # the fixed spectrum is a set: merge repeated eigenvalues of A up front
-    survivors = _cluster(list(map(complex, nsys._eigenvalues)), tol)
-    values = np.array(survivors, dtype=complex)
+    values = np.array(nsys._eigenvalues, dtype=complex)
     free = _gain_free_states(nsys)
     pins = np.linalg.eigvals(A[np.ix_(free, free)]) if free.any() else values[:0]
-    pinned = np.any(np.abs(values[:, None] - pins) <= tol, axis=1)
+    pinned = np.any(np.abs(values[:, None] - pins) <= DEFAULT_CLUSTER_TOL, axis=1)
     touched = ~free
     # with no gain-touched state every closed loop has A's spectrum: nothing to test
     live = np.flatnonzero(~pinned & touched.any())
@@ -434,8 +430,8 @@ def random_feedback_oracle(
         F[:, f_rows, f_cols] = np.reshape(gains, (size, len(slots)))
         eigs = np.linalg.eigvals(A_t + B_t @ F @ C_t)
         gaps = np.abs(eigs[:, :, None] - values[live])
-        live = live[np.all(gaps.min(axis=1) <= tol, axis=0)]
+        live = live[np.all(gaps.min(axis=1) <= DEFAULT_CLUSTER_TOL, axis=0)]
         drawn += size
         chunk = min(2 * chunk, ORACLE_CHUNK)
     pinned[live] = True
-    return [z for z, keep in zip(survivors, pinned) if keep]
+    return [z for z, keep in zip(nsys._eigenvalues, pinned) if keep]

@@ -31,8 +31,8 @@ from .system import (
     ChannelSubset,
     LinearParamDecomposition,
     MultiChannelSystem,
+    _own_decomposition,
     channel_spans,
-    detect_linear_parameterization,
     feedback_slots,
     reachability,
 )
@@ -134,12 +134,7 @@ def build_graph(
     follow from the block offsets, colors from the parameter and feedback
     slot indices, and each color's arcs fill the rectangle of its term.
     """
-    if decomp is None:
-        decomp = detect_linear_parameterization(sys)
-    if (decomp.n, decomp.m, decomp.l) != (sys.n, sys.m, sys.l) or any(
-        term.param_index >= sys.q for term in decomp.terms
-    ):
-        raise ValueError("the decomposition does not belong to this system")
+    decomp = _own_decomposition(sys, decomp)
     if not decomp.is_binary:
         raise NonBinaryParameterization(
             "graph construction requires a binary linear parameterization"
@@ -218,9 +213,6 @@ class CycleSubgraph:
     @property
     def color_set(self) -> frozenset[int]:
         return frozenset(arc.color for cycle in self.cycles for arc in cycle)
-
-    def vertices(self) -> frozenset[int]:
-        return frozenset(arc.src for cycle in self.cycles for arc in cycle)
 
 
 class _Steps:
@@ -508,8 +500,7 @@ def decide_graphical(
     Other binary systems search the classes lazily and stop at the first
     unbalanced one; ``budget`` bounds the steps of all their searches.
     """
-    if decomp is None:
-        decomp = detect_linear_parameterization(sys)
+    decomp = _own_decomposition(sys, decomp)
     g = build_graph(sys, decomp)
     steps = _Steps(budget)
     subgraph_count = class_count = None

@@ -38,7 +38,6 @@ __all__ = [
     "rank_exact",
     "grank",
     "field_point",
-    "rational_point",
 ]
 
 # First prime above 2**61.  Desk-scale minors have degree far below the field
@@ -281,13 +280,6 @@ def field_point(param_count: int, seed: int, modulus: int = FIELD_PRIME) -> Para
     rng = random.Random(seed)
     values = tuple(rng.randrange(modulus) for _ in range(param_count))
     return ParamPoint(values=values, seed=seed, modulus=modulus)
-
-
-def rational_point(param_count: int, seed: int, low: int = -300, high: int = 300) -> ParamPoint:
-    """Draw an integer-valued rational point, uniform per coordinate."""
-    rng = random.Random(seed)
-    values = tuple(Fraction(rng.randint(low, high)) for _ in range(param_count))
-    return ParamPoint(values=values, seed=seed, modulus=None)
 
 
 class ParamMatrix:

@@ -79,8 +79,8 @@ from .system import (
     ChannelSubset,
     LinearParamDecomposition,
     MultiChannelSystem,
+    _own_decomposition,
     channel_spans,
-    detect_linear_parameterization,
     feedback_slots,
     split,
     stack,
@@ -616,14 +616,14 @@ def decide_linear(
     The system has one iff the closed-loop generic rank of A + B F C is
     below n, or some subset passes the zero-transfer identity while its
     generic controllable dimension is below the complement's generic
-    unobservable dimension.  Raises NotLinearlyParameterized otherwise.
+    unobservable dimension.  Raises NotLinearlyParameterized otherwise, and
+    ValueError for a ``decomp`` of another system.
     A no-SFS verdict is exact: a full-rank point, and per subset a nonzero
     transfer or sampled dimensions that already rule it out (a sampled
     controllable dimension is never above the generic one, a sampled
     unobservable dimension never below).
     """
-    if decomp is None:
-        decomp = detect_linear_parameterization(sys)
+    _own_decomposition(sys, decomp)
     rng = random.Random(seed)
     p = sys.prime
     g = closed_loop_generic_rank(sys, trials=trials, seed=rng.randrange(2**32))

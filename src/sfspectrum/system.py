@@ -3,9 +3,9 @@
 A k-channel system couples a state matrix A with per-channel input blocks B_i
 and output blocks C_i, all parameterized over one shared vector of q
 algebraically independent parameters.  This module lays out
-(``channel_spans``), stacks and splits the channel blocks, builds the
-block-diagonal feedback pattern that decentralized output feedback admits
-(``feedback_slots`` orders its gain entries), and classifies the
+(``channel_spans``), stacks and splits the channel blocks, lists the
+entries a block-diagonal (decentralized) output-feedback gain may use
+(``feedback_slots``, the one description of that gain), and classifies the
 parameterization (polynomial / linear / binary / unitary) by factoring each
 parameter's constant derivative matrix of [A B; C 0] into a rank-one
 product.  ``reachability`` answers every "what reaches what" question of the
@@ -31,12 +31,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .polymatrix import ParamMatrix, ParamPoly, evaluation_prime
+from .polymatrix import ParamMatrix, evaluation_prime
 
 __all__ = [
     "MultiChannelSystem",
     "ChannelSubset",
-    "FeedbackPattern",
     "LinearParamDecomposition",
     "RankOneTerm",
     "Classification",
@@ -47,7 +46,6 @@ __all__ = [
     "reachability",
     "stack",
     "split",
-    "feedback_pattern",
     "detect_linear_parameterization",
     "classify",
 ]
@@ -240,36 +238,6 @@ def split(sys: MultiChannelSystem, s: ChannelSubset) -> tuple[ParamMatrix, Param
 
 
 @dataclass(frozen=True)
-class FeedbackPattern:
-    """The block-diagonal feedback pattern F over its own parameter space.
-
-    F is m x l with one fresh parameter per admissible feedback gain, the
-    k diagonal blocks filled row-major in channel order; param_count is the
-    number of fresh parameters (sum of m_i * l_i).
-    """
-
-    F: ParamMatrix
-    channels: tuple[tuple[int, int], ...]
-    # entry (row, col) -> fresh parameter index, in ``feedback_slots`` order
-    entry_params: dict[tuple[int, int], int] = field(compare=False)
-
-    @property
-    def param_count(self) -> int:
-        return self.F.param_count
-
-
-def feedback_pattern(sys: MultiChannelSystem) -> FeedbackPattern:
-    """Fresh-parameter block-diagonal pattern for decentralized feedback."""
-    entry_params = {slot: r for r, slot in enumerate(feedback_slots(sys.channels))}
-    entries = {key: ParamPoly.param(r) for key, r in entry_params.items()}
-    return FeedbackPattern(
-        F=ParamMatrix(sys.m, sys.l, entries, len(entry_params)),
-        channels=sys.channels,
-        entry_params=entry_params,
-    )
-
-
-@dataclass(frozen=True)
 class RankOneTerm:
     """One rank-one term of a linear parameterization: D_r = outer(g, h).
 
@@ -301,15 +269,14 @@ class LinearParamDecomposition:
 
     Parameters whose derivative matrix is zero are dropped; ``is_binary``
     and ``is_unitary`` report whether every g and h is a 0/1 vector,
-    respectively a unit vector.
+    respectively a unit vector.  ``system`` is the system it was detected on,
+    which also gives the shape.
     """
 
     terms: tuple[RankOneTerm, ...]
-    n: int
-    m: int
-    l: int
     is_binary: bool
     is_unitary: bool
+    system: MultiChannelSystem = field(compare=False, repr=False)
 
 
 _ZERO = Fraction(0)  # shared by every off-support position of g and h
@@ -434,12 +401,22 @@ def detect_linear_parameterization(sys: MultiChannelSystem) -> LinearParamDecomp
     terms, is_binary, is_unitary = _rank_one_terms(blocks, n + sys.l, n + sys.m)
     return LinearParamDecomposition(
         terms=terms,
-        n=n,
-        m=sys.m,
-        l=sys.l,
         is_binary=is_binary,
         is_unitary=is_unitary,
+        system=sys,
     )
+
+
+def _own_decomposition(
+    sys: MultiChannelSystem, decomp: LinearParamDecomposition | None
+) -> LinearParamDecomposition:
+    """``decomp`` if it was detected on ``sys`` or on an equal system, else raise;
+    None detects it.  Identity is checked first: the usual caller pays no comparison."""
+    if decomp is None:
+        return detect_linear_parameterization(sys)
+    if decomp.system is not sys and decomp.system != sys:
+        raise ValueError("the decomposition does not belong to this system")
+    return decomp
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sfspectrum import MultiChannelSystem, NumericSystem, ParamMatrix, ParamPoly
+from sfspectrum.system import feedback_slots
 
 p = ParamPoly.param
 
@@ -18,6 +19,19 @@ def perfbench_module(name: str):
     if str(PERFBENCH) not in sys.path:
         sys.path.append(str(PERFBENCH))
     return importlib.import_module(name)
+
+
+def symbolic_feedback(channels, offset: int = 0) -> ParamMatrix:
+    """The block-diagonal m x l gain F of ``channels`` with one fresh parameter per entry.
+
+    Slot r of ``feedback_slots`` holds parameter ``offset + r``; F lives over
+    ``offset`` + (sum of m_i l_i) parameters, so an offset of q puts the
+    gains after a system's own parameters.
+    """
+    slots = feedback_slots(channels)
+    entries = {slot: p(offset + r) for r, slot in enumerate(slots)}
+    m, l = sum(m_i for m_i, _ in channels), sum(l_i for _, l_i in channels)
+    return ParamMatrix(m, l, entries, offset + len(slots))
 
 
 def two_channel_shared_params() -> MultiChannelSystem:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sfspectrum import cli
 from sfspectrum.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
@@ -307,6 +308,27 @@ class TestMainEntry:
         captured = capsys.readouterr().out
         assert json.loads(captured)["consistency"]["agree"] is True
         assert out.read_text(encoding="utf-8") == captured
+
+    def test_analyze_serializes_its_report_once(self, worked_file, capsys, tmp_path,
+                                                monkeypatch):
+        calls = []
+
+        def counted(report):
+            calls.append(report)
+            return report_json(report)
+
+        monkeypatch.setattr(cli, "report_json", counted)
+        out = tmp_path / "report.json"
+        for fmt, extra, serialized in (("json", ["--out", str(out)], 1),
+                                       ("text", ["--out", str(out)], 1), ("text", [], 0)):
+            calls.clear()
+            assert main(["analyze", str(worked_file), "--format", fmt] + extra) == EXIT_OK
+            captured = capsys.readouterr().out
+            assert len(calls) == serialized
+            if fmt == "json":
+                assert out.read_bytes() == captured.encode("utf-8")
+            else:
+                assert not captured.startswith("{")
 
     def test_analyze_writes_dot(self, worked_file, tmp_path, capsys):
         dot_path = tmp_path / "g.dot"

@@ -67,7 +67,7 @@ def outcome(detect, *args):
 
 def current(sys_):
     decomp = detect_linear_parameterization(sys_)
-    assert (decomp.n, decomp.m, decomp.l) == (sys_.n, sys_.m, sys_.l)
+    assert decomp.system is sys_
     return as_tuples(decomp.terms), decomp.is_binary, decomp.is_unitary
 
 

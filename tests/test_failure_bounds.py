@@ -39,7 +39,8 @@ from sfspectrum.structural import (
     markov_identity,
     pencil_drop_at_point,
 )
-from sfspectrum.system import ChannelSubset, feedback_pattern, split, stack
+from sfspectrum.system import ChannelSubset, split, stack
+from conftest import symbolic_feedback
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
@@ -149,17 +150,17 @@ def old_generic_dims(sys_, s, trials=10, seed=0):
 
 
 def old_closed_loop_generic_rank(sys_, trials=10, seed=0):
-    fp = feedback_pattern(sys_)
+    F = symbolic_feedback(sys_.channels)
     B, C = stack(sys_)
     rng = random.Random(seed)
     p = sys_.prime
     best = 0
     for _ in range(trials):
         values = [rng.randrange(p) for _ in range(sys_.q)]
-        f_values = [rng.randrange(p) for _ in range(fp.param_count)]
+        f_values = [rng.randrange(p) for _ in range(F.param_count)]
         closed = sys_.A.evaluate_at(values, p)
         if sys_.m and sys_.l:
-            BF = _mat_mul_mod(B.evaluate_at(values, p), fp.F.evaluate_at(f_values, p), p)
+            BF = _mat_mul_mod(B.evaluate_at(values, p), F.evaluate_at(f_values, p), p)
             closed = _mat_add_mod(closed, _mat_mul_mod(BF, C.evaluate_at(values, p), p), p)
         best = max(best, rank_exact(closed, p))
         if best == sys_.n:

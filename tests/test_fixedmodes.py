@@ -479,11 +479,10 @@ class TestBatchedOracle:
     def test_equals_the_per_gain_loop(self):
         persisted = 0
         for i, ns in enumerate(SCREEN_ENSEMBLE):
-            tol = (1e-6, 1e-6, 1e-3, 0.3)[i % 4]
             counts = self.COUNTS + (1000,) if i % 10 == 0 else self.COUNTS
-            prefixes = old_oracle_prefixes(ns, max(counts), seed=i, tol=tol)
+            prefixes = old_oracle_prefixes(ns, max(counts), seed=i)
             for samples in counts:
-                got = random_feedback_oracle(ns, samples=samples, seed=i, tol=tol)
+                got = random_feedback_oracle(ns, samples=samples, seed=i)
                 assert got == prefixes[samples], (i, samples)
             persisted += bool(prefixes[max(counts)])
         assert 0 < persisted < len(SCREEN_ENSEMBLE)
@@ -667,14 +666,14 @@ class TestPinnedOracle:
         pencil route confirms it is fixed.
         """
         both = none = 0
+        tol = fixedmodes.DEFAULT_CLUSTER_TOL
         for i, ns in enumerate(BLOCK_ENSEMBLE):
-            tol = (1e-6, 1e-6, 1e-3)[i % 3]
             counts = TestBatchedOracle.COUNTS + (1000,)
             prefixes = old_oracle_prefixes(ns, max(counts), seed=i, tol=tol)
             free = reference_gain_free_states(ns)
             pins = np.linalg.eigvals(ns.A_array()[np.ix_(free, free)]) if free.any() else []
             for samples in counts:
-                got = random_feedback_oracle(ns, samples=samples, seed=i, tol=tol)
+                got = random_feedback_oracle(ns, samples=samples, seed=i)
                 old = prefixes[samples]
                 if got != old:
                     assert [z for z in got if z in old] == old, (i, samples)
@@ -945,6 +944,23 @@ class TestSampleBuild:
             fixed_spectrum(nsys)
             A = nsys._floats[0]
             assert sum(a is A for a in solved) == 1
+
+    def test_one_clustering_per_sample(self, monkeypatch):
+        clustered = []
+        real = fixedmodes._cluster
+
+        def recorded(values, radius):
+            clustered.append(radius)
+            return real(values, radius)
+
+        monkeypatch.setattr(fixedmodes, "_cluster", recorded)
+        for seed in range(30):
+            nsys = random_numeric_system(seed)
+            clustered.clear()
+            fixed_spectrum(nsys)
+            random_feedback_oracle(nsys, samples=50, seed=seed)
+            fixed_spectrum(nsys)
+            assert clustered == [fixedmodes.DEFAULT_CLUSTER_TOL]
 
 
 class TestNumericSystemValidation:

@@ -309,13 +309,22 @@ class TestBuildGraph:
     def test_a_decomposition_of_another_system_is_refused(self):
         systems = [random_binary_system(seed=seed) for seed in range(40)]
         decomps = [detect_linear_parameterization(sys_) for sys_ in systems]
-        refused = 0
-        for sys_, decomp in itertools.product(systems, decomps):
-            if (decomp.n, decomp.m, decomp.l) != (sys_.n, sys_.m, sys_.l):
-                with pytest.raises(ValueError, match="does not belong to this system"):
-                    build_graph(sys_, decomp)
+        refused = same_shape = 0
+        for (i, sys_), (j, decomp) in itertools.product(enumerate(systems), enumerate(decomps)):
+            if i == j:
+                build_graph(sys_, decomp)
+                continue
+            with pytest.raises(ValueError, match="does not belong to this system"):
+                build_graph(sys_, decomp)
+            if (sys_.n, sys_.m, sys_.l) != (systems[j].n, systems[j].m, systems[j].l):
                 refused += 1
-        assert refused == 1546
+            else:  # the same shape does not make the decomposition this system's
+                same_shape += 1
+                with pytest.raises(ValueError, match="does not belong to this system"):
+                    decide_graphical(sys_, decomp)
+        assert refused == 1546 and same_shape == 14
+        # an equal system, built apart, owns the decomposition
+        assert build_graph(random_binary_system(seed=3), decomps[3]) == build_graph(systems[3])
         # the same shape over fewer parameters: the worked example's p4 is past q
         fewer = MultiChannelSystem(
             n=2,

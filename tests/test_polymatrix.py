@@ -14,10 +14,9 @@ from sfspectrum import (
     field_point,
     grank,
     rank_exact,
-    rational_point,
 )
 from sfspectrum.polymatrix import FALLBACK_PRIME, _points, evaluation_prime
-from conftest import two_channel_shared_params
+from conftest import symbolic_feedback, two_channel_shared_params
 
 p = ParamPoly.param
 
@@ -71,7 +70,7 @@ class TestEvaluate:
 
     def test_zero_matrix(self):
         m = ParamMatrix.zeros(2, 3, 2)
-        pt = rational_point(2, seed=7)
+        pt = ParamPoint(values=(Fraction(-7), Fraction(3, 5)), seed=7)
         assert m.evaluate(pt) == [[0, 0, 0], [0, 0, 0]]
 
     def test_worked_example_state_matrix_at_ones(self):
@@ -167,12 +166,12 @@ def rank_gauss_jordan(matrix, modulus=None):
 def closed_loop_worked_example() -> ParamMatrix:
     """A + B F C of the worked example over the joint 6-parameter space."""
     sys_ = two_channel_shared_params()
-    from sfspectrum import feedback_pattern, stack
+    from sfspectrum import stack
 
     B, C = stack(sys_)
-    fp = feedback_pattern(sys_)
     # the feedback parameters follow the system's: gain r is parameter q + r
-    gains = {key: p(sys_.q + r) for key, r in fp.entry_params.items()}
+    F = symbolic_feedback(sys_.channels, offset=sys_.q)
+    gains = dict(F.items())
     closed = [
         [
             sys_.A.entry(i, j)
@@ -184,7 +183,7 @@ def closed_loop_worked_example() -> ParamMatrix:
         ]
         for i in range(sys_.n)
     ]
-    return ParamMatrix.from_rows(closed, sys_.q + fp.param_count)
+    return ParamMatrix.from_rows(closed, F.param_count)
 
 
 class TestGrank:

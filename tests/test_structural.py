@@ -17,6 +17,7 @@ from sfspectrum import (
     closed_loop_generic_rank,
     decide_linear,
     decide_polynomial,
+    detect_linear_parameterization,
     fixed_spectrum,
     generic_dims,
     markov_identity,
@@ -664,6 +665,27 @@ class TestDecideLinear:
     def test_rejects_nonlinear(self, counterexample_system):
         with pytest.raises(NotLinearlyParameterized):
             decide_linear(counterexample_system)
+
+    def test_refuses_the_decomposition_of_another_system(self):
+        def one_channel(a11):
+            return MultiChannelSystem(
+                n=2,
+                channels=((1, 1),),
+                A=ParamMatrix.from_rows([[a11, 0], [0, p(1)]], 4),
+                B_blocks=(ParamMatrix.from_rows([[p(2)], [0]], 4),),
+                C_blocks=(ParamMatrix.from_rows([[p(3), 0]], 4),),
+                q=4,
+            )
+
+        linear, squared = one_channel(p(0)), one_channel(p(0) * p(0))
+        with pytest.raises(NotLinearlyParameterized, match=r"row 1, column 1: p1\^2"):
+            decide_linear(squared)
+        # the linear twin's decomposition must not let the nonlinear system through
+        with pytest.raises(ValueError, match="does not belong to this system"):
+            decide_linear(squared, detect_linear_parameterization(linear))
+        # an equal system, built apart, owns the decomposition
+        verdict = decide_linear(linear, detect_linear_parameterization(one_channel(p(0))))
+        assert verdict.has_sfs and verdict.reason == REASON_PROPER_SUBSPACE
 
     def test_generic_rank_deficient_route(self):
         # two states sharing one parameter on the diagonal, no inputs/outputs

@@ -1,4 +1,4 @@
-"""Channel stacking, splits, feedback pattern, and parameterization class."""
+"""Channel stacking, splits, feedback slots, and parameterization class."""
 
 import random
 from fractions import Fraction
@@ -13,12 +13,12 @@ from sfspectrum import (
     ParamPoly,
     classify,
     detect_linear_parameterization,
-    feedback_pattern,
     split,
     stack,
 )
-from sfspectrum.system import _rank_one_factor, all_subsets
+from sfspectrum.system import _rank_one_factor, all_subsets, channel_spans, feedback_slots
 from sfspectrum.ensembles import random_binary_system
+from conftest import symbolic_feedback
 
 p = ParamPoly.param
 
@@ -97,12 +97,10 @@ class TestSplit:
 
 
 class TestFeedbackPattern:
+    """``feedback_slots``, the one description of the block-diagonal gain."""
+
     def test_two_scalar_channels(self, worked_system):
-        fp = feedback_pattern(worked_system)
-        assert fp.param_count == 2
-        assert fp.F.entry(0, 0) == p(0)
-        assert fp.F.entry(1, 1) == p(1)
-        assert fp.F.entry(0, 1).is_zero and fp.F.entry(1, 0).is_zero
+        assert feedback_slots(worked_system.channels) == [(0, 0), (1, 1)]
 
     def test_single_wide_channel(self):
         sys_ = single_channel(
@@ -111,30 +109,30 @@ class TestFeedbackPattern:
             ParamMatrix.zeros(1, 1, 1),
             q=1,
         )
-        fp = feedback_pattern(sys_)
-        assert fp.param_count == 2
-        assert fp.F.entry(0, 0) == p(0) and fp.F.entry(1, 0) == p(1)
+        # one block, row-major: both inputs read the one output
+        assert feedback_slots(sys_.channels) == [(0, 0), (1, 0)]
 
     def test_mixed_widths_parameter_count(self):
-        sys_ = MultiChannelSystem(
-            n=1,
-            channels=((1, 2), (2, 1)),
-            A=ParamMatrix.from_rows([[p(0)]], 1),
-            B_blocks=(ParamMatrix.zeros(1, 1, 1), ParamMatrix.zeros(1, 2, 1)),
-            C_blocks=(ParamMatrix.zeros(2, 1, 1), ParamMatrix.zeros(1, 1, 1)),
-            q=1,
-        )
-        fp = feedback_pattern(sys_)
-        assert fp.param_count == 1 * 2 + 2 * 1
-        # off-block entries stay structurally zero
-        assert fp.F.entry(0, 2).is_zero and fp.F.entry(1, 0).is_zero
+        slots = feedback_slots(((1, 2), (2, 1)))
+        assert slots == [(0, 0), (0, 1), (1, 2), (2, 2)]
+        assert len(slots) == 1 * 2 + 2 * 1
+        # off-block entries are never slots
+        assert (0, 2) not in slots and (1, 0) not in slots
 
-    def test_pattern_is_unitary_linear(self, worked_system):
-        fp = feedback_pattern(worked_system)
-        # every entry is its own fresh parameter with coefficient 1, so each
-        # derivative matrix is a unit matrix: unitary, hence binary, linear
-        assert fp.F.items() == [(key, p(r)) for key, r in sorted(fp.entry_params.items())]
-        assert sorted(fp.entry_params.values()) == list(range(fp.param_count))
+    def test_pattern_is_unitary_linear(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            channels = tuple((rng.randrange(3), rng.randrange(3)) for _ in range(rng.randrange(5)))
+            slots = feedback_slots(channels)
+            assert len(slots) == sum(m_i * l_i for m_i, l_i in channels)
+            # channel by channel, each block row-major: ascending and distinct
+            assert slots == sorted(set(slots))
+            in_cols, out_rows = channel_spans(channels)
+            block = {r: i for i, cols in enumerate(in_cols) for r in cols}
+            assert all(c in out_rows[block[r]] for r, c in slots)
+            # one fresh parameter per slot, coefficient 1: every entry its own unit term
+            F = symbolic_feedback(channels)
+            assert F.items() == [(slot, p(r)) for r, slot in enumerate(slots)]
 
 
 class TestDetectLinear:
