@@ -18,23 +18,57 @@ outcome is open:
   the entrywise conjugate of the pencil at lambda and has the same singular
   values.  An eigenvalue below the real axis whose exact conjugate is also
   tested takes that conjugate's witnesses.
-* One-channel screen.  For each channel i, sigma_n of [lambda I - A, B_i]
-  and of [lambda I - A; C_i] is compared with
-  thr = tol * (n + max(m, l)) * sqrt(|lambda I - A|_F^2 + |B|_F^2 + |C|_F^2).
-  thr is never below the threshold tol * sigma_max * max(shape) of any
-  subset's pencil, because sigma_max is at most the Frobenius norm and the
-  pencil is at most (n + l) x (n + m).  Each one-channel block is a
-  submatrix of the pencils it borders, and deleting rows or columns cannot
-  raise a singular value (interlacing), so sigma_n(pencil) >=
-  sigma_n(block).  A channel whose B side clears thr therefore rules out
-  every subset that contains it, and one whose C side clears thr every
-  subset that leaves it out.  Once one channel clears both sides at lambda,
-  every subset contains it or leaves it out, so none stays open: later
-  channels skip that lambda, as their bits could only rule out subsets
-  already ruled out, and the open pairs are those of the full screen.  The
-  pairs that remain go to ``pencil_rank_deficient``, one batched call per
-  subset.  Only a pencil whose sigma_n rounds onto its own threshold could
-  be decided otherwise, and there the full test itself is not reproducible.
+* One-channel screen.  Every subset's rank threshold tol * sigma_max *
+  max(shape) is at most
+  thr = tol * (n + max(m, l)) * sqrt(|lambda I - A|_F^2 + |B|_F^2 + |C|_F^2),
+  because sigma_max is at most the Frobenius norm and the pencil is at most
+  (n + l) x (n + m).  [lambda I - A, B_i] (the B side of channel i) is a
+  submatrix of every pencil whose subset contains i, and [lambda I - A; C_i]
+  (its C side) of every pencil whose subset leaves i out; deleting rows or
+  columns cannot raise a singular value (interlacing), so sigma_n(pencil) >=
+  sigma_n(side).  A side with sigma_n above thr therefore rules out those
+  subsets.
+
+  sigma_n(M)^2 is the smallest eigenvalue of the Gram matrix G = M M^H (B
+  side) or M^H M (C side), so sigma_n(M) > sqrt(tau) exactly when G - tau I
+  is positive definite, which one Cholesky factorization tests.  G is built
+  in O(n^2) per lambda from A A^T and A^T A, computed once per call:
+  G_B = |lambda|^2 I - lambda A^T - conj(lambda) A + A A^T + B_i B_i^T, and
+  G_C the same with A^T A + C_i^T C_i.  With u the unit roundoff, d = n plus
+  the widest channel's columns (rows) and S = (|lambda| sqrt(n) + |A|_F)^2 +
+  |B|_F^2 (|C|_F^2), S bounds trace(G) and the 2-norm of the entrywise
+  absolute values summed into G.  The screen uses
+  tau = (thr + e_svd)^2 + delta, where
+
+  - delta = 4 (d + 8) u S covers rounding: forming G - tau I errs by at most
+    2 gamma_{d+6} S + gamma_4 tau in the 2-norm, and a Cholesky
+    factorization that succeeds is exact for the matrix it factored plus E
+    with |E|_2 <= gamma_{n+1} / (1 - gamma_{n+1}) trace(G) (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.5);
+  - e_svd = 8 d^2 u sqrt(S) covers the backward error of an SVD of the side
+    (a small multiple of d u |M|_2) and the rounding of lambda I - A;
+  - thr is evaluated with |lambda| sqrt(n) + |A|_F in place of
+    |lambda I - A|_F and a factor 1 + 4 N u for N summed squares, so it is
+    never below thr evaluated as a sum of squares in any order.
+
+  So a side the Cholesky clears has sigma_n > thr + e_svd, and an SVD of it
+  would give sigma_n above thr: every side this screen clears is one an SVD
+  screen against thr clears too.  A side that fails stays open.  An S
+  below 2^-900 (where underflow could outgrow these bounds), an S near the
+  float range or an infinite tau also leaves the side open.
+
+  A channel that clears its B side rules out every subset that contains it,
+  and one that clears its C side every subset that leaves it out.  Once one
+  channel clears both sides at lambda, every subset contains it or leaves
+  it out, so none stays open: later channels skip that lambda, as their
+  bits could only rule out subsets already ruled out.  Each side of a
+  channel is one batched factorization over the lambdas still open
+  (``np.linalg.cholesky`` raises for a whole stack when one matrix fails,
+  so a failed stack is split in halves until each failure stands alone).
+  The pairs that remain go to ``pencil_rank_deficient``, one batched call
+  per subset, so the screen changes which tests run, never their outcome:
+  only a pencil whose sigma_n rounds onto its own threshold could be
+  decided otherwise, and there the full test itself is not reproducible.
 
 ``random_feedback_oracle`` solves only the part of a closed loop a gain can
 move.  Let P be (A != 0) together with rowsupp(B_i) x colsupp(C_i) for every
@@ -57,6 +91,7 @@ gains for one ``eigvals`` call each.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,10 +123,17 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-6
 ORACLE_CHUNK = 64  # most gains stacked into one eigvals call; bounds the buffers
+UNIT_ROUNDOFF = 2.0**-53
+# below this S, underflow could exceed the screen's relative error bounds
+SCREEN_MIN_SCALE = 2.0**-900
 
 
 class FloatRangeError(OverflowError):
-    """An exact entry of a numeric system is too large for a float."""
+    """An exact entry of a numeric system is outside the float range.
+
+    Either it is too large for a float, or it is nonzero and too small: it
+    would round to 0.0 and silently change the system's zero pattern.
+    """
 
 
 def _exact_matrix(data) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,7 +212,8 @@ class NumericSystem:
         Each starts as zeros, and only the nonzero exact entries are
         converted, with float(): it rounds a Fraction correctly, as
         np.array(..., dtype=float) does, so the bits are those of a dense
-        conversion.  An entry too large for a float raises FloatRangeError.
+        conversion.  An entry too large for a float, or a nonzero one that
+        rounds to 0.0, raises FloatRangeError.
         """
         n = self.n
         A, B, C = np.zeros((n, n)), np.zeros((n, self.m)), np.zeros((self.l, n))
@@ -183,11 +226,17 @@ class NumericSystem:
         for (name, view), M in zip(views, (self.A, *self.B_blocks, *self.C_blocks)):
             for i, j in _nonzeros(M):
                 try:
-                    view[i, j] = float(M[i][j])
+                    x = float(M[i][j])
                 except OverflowError:
                     raise FloatRangeError(
                         f"entry ({i}, {j}) of {name} evaluates to a value too large for a float"
                     ) from None
+                if not x:
+                    raise FloatRangeError(
+                        f"entry ({i}, {j}) of {name} evaluates to a nonzero value too small"
+                        " for a float"
+                    )
+                view[i, j] = x
         for M in (A, B, C):
             M.setflags(write=False)
         return A, B, C
@@ -288,38 +337,103 @@ def _cluster(values: Sequence[complex], radius: float) -> list[complex]:
     return [sum(g) / len(g) for g in clusters]
 
 
+def _cholesky_succeeds(grams: np.ndarray) -> np.ndarray:
+    """Per matrix of a nonempty stack, whether its Cholesky factorization succeeds.
+
+    One call factors the whole stack.  It raises when any matrix fails, so a
+    failed stack is split in halves until each failing matrix stands alone.
+    """
+    try:
+        np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        if len(grams) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(grams) // 2
+        return np.concatenate(
+            (_cholesky_succeeds(grams[:half]), _cholesky_succeeds(grams[half:]))
+        )
+    return np.ones(len(grams), dtype=bool)
+
+
+def _screen_sides(nsys: NumericSystem, lams: np.ndarray, tol: float):
+    """The one-channel side tests at ``lams`` (module docstring).
+
+    Returns ``sides(i, live)``: for the lambdas ``lams[live]``, whether the B
+    side and whether the C side of channel i clear thr.  Everything but the
+    channel's own Gram term and the factorizations is computed here, once.
+    Quantities that overflow belong to lambdas the bounds do not trust, which
+    are never factored; callers silence those floating-point warnings.
+    """
+    A, B, C = nsys._floats
+    n, m, l = nsys.n, nsys.m, nsys.l
+    cols, rows = nsys._channel_index
+    a2, b2, c2 = np.vdot(A, A), np.vdot(B, B), np.vdot(C, C)
+    # per side (row 0: B, row 1: C): the squared norm in S, and d
+    norms2 = np.array([[b2], [c2]])
+    d = n + np.array([[max((w for w, _ in nsys.channels), default=0)],
+                      [max((w for _, w in nsys.channels), default=0)]])
+    u = UNIT_ROUNDOFF
+    # 1 + 4 N u, N = n^2 + n (m + l) + 16: never below thr as a sum of squares in any order
+    thr_factor = tol * (n + max(m, l)) * (1 + 4 * (n * n + n * (m + l) + 16) * u)
+    modulus = np.abs(lams)
+    base = (modulus * math.sqrt(n) + math.sqrt(a2)) ** 2  # >= |lambda I - A|_F^2
+    thr = thr_factor * np.sqrt(base + (b2 + c2))
+    scale = base + norms2  # S per (side, lambda)
+    e_svd = 8 * u * d * d * np.sqrt(scale)
+    tau = (thr + e_svd) ** 2 + 4 * u * (d + 8) * scale
+    trusted = np.isfinite(4 * (tau + scale)) & (scale >= SCREEN_MIN_SCALE)
+    shift = modulus**2 - tau  # the diagonal |lambda|^2 - tau
+    real = lams.imag == 0
+    # -lambda A^T - conj(lambda) A, real and imaginary parts apart
+    if real.all():
+        cross = np.multiply.outer(-lams.real, A + A.T)
+    else:
+        cross = np.empty((lams.size, n, n), dtype=complex)
+        np.multiply.outer(-lams.real, A + A.T, out=cross.real)
+        np.multiply.outer(-lams.imag, A.T - A, out=cross.imag)
+    a_grams = (A @ A.T, A.T @ A)
+
+    def clears(side, live, X):
+        """Per lambda in ``live``: does G - tau I of this side, with X X^T, factor?"""
+        ok = trusted[side, live]
+        at = live[ok]
+        if at.size:
+            grams = (cross[at].real if real[at].all() else cross[at]) + (a_grams[side] + X @ X.T)
+            # the diagonal of each n x n block, through a flat view
+            grams.reshape(at.size, n * n)[:, :: n + 1] += shift[side, at, None]
+            ok[ok] = _cholesky_succeeds(grams)
+        return ok
+
+    def sides(i, live):
+        return clears(0, live, B[:, cols[i]]), clears(1, live, C[rows[i]].T)
+
+    return sides
+
+
 def _one_channel_screen(
     nsys: NumericSystem, lams: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bit masks, one per lambda, of the channels that clear thr on each side.
 
-    Bit i of the first mask is set when sigma_n([lambda I - A, B_i]) > thr,
-    bit i of the second when sigma_n([lambda I - A; C_i]) > thr, with thr the
-    upper bound on every subset's rank threshold given in the module
-    docstring.  Each side is one batched SVD per channel, over the lambdas
-    that no earlier channel cleared on both sides (module docstring).
+    Bit i of the first mask is set when G_B - tau I of channel i has a
+    Cholesky factor, bit i of the second when G_C - tau I has one; either
+    proves sigma_n of that side above thr, the upper bound on every
+    subset's rank threshold (module docstring).  Each side is one batched
+    factorization per channel, over the lambdas that no earlier channel
+    cleared on both sides.
     """
-    A, B, C = nsys._floats
-    n = nsys.n
-    shifted = lams.reshape(-1, 1, 1) * np.eye(n) - A
-    frob2 = np.sum(np.abs(shifted) ** 2, axis=(1, 2)) + np.sum(B * B) + np.sum(C * C)
-    thr = tol * (n + max(nsys.m, nsys.l)) * np.sqrt(frob2)
     b_pass = np.zeros(lams.size, dtype=np.int64)
     c_pass = np.zeros(lams.size, dtype=np.int64)
     live = np.arange(lams.size)
-    for i, (cols, rows) in enumerate(zip(*nsys._channel_index)):
-        if not live.size:
-            break
-        shifted_l, thr_l = shifted[live], thr[live]
-        B_i = np.broadcast_to(B[:, cols], (live.size, n, len(cols)))
-        sigma = np.linalg.svd(np.concatenate((shifted_l, B_i), axis=2), compute_uv=False)
-        b_ok = sigma[:, n - 1] > thr_l
-        b_pass[live] |= np.where(b_ok, 1 << i, 0)
-        C_i = np.broadcast_to(C[rows], (live.size, len(rows), n))
-        sigma = np.linalg.svd(np.concatenate((shifted_l, C_i), axis=1), compute_uv=False)
-        c_ok = sigma[:, n - 1] > thr_l
-        c_pass[live] |= np.where(c_ok, 1 << i, 0)
-        live = live[~(b_ok & c_ok)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sides = _screen_sides(nsys, lams, tol)
+        for i in range(nsys.k):
+            if not live.size:
+                break
+            b_ok, c_ok = sides(i, live)
+            b_pass[live] |= np.where(b_ok, 1 << i, 0)
+            c_pass[live] |= np.where(c_ok, 1 << i, 0)
+            live = live[~(b_ok & c_ok)]
     return b_pass, c_pass
 
 

@@ -27,7 +27,14 @@ from sfspectrum.cli import (
     report_json,
     serialize_system,
 )
-from sfspectrum import MultiChannelSystem, ParamMatrix, ParamPoly, decide_linear
+from sfspectrum import (
+    FloatRangeError,
+    MultiChannelSystem,
+    NumericSystem,
+    ParamMatrix,
+    ParamPoly,
+    decide_linear,
+)
 from sfspectrum.ensembles import random_binary_system
 from sfspectrum.polymatrix import FALLBACK_PRIME, FIELD_PRIME
 from conftest import (
@@ -813,6 +820,58 @@ class TestFailedSample:
         assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.err == "" and "routes agree: True" in captured.out
+
+
+TINY_FAILURE = "entry (1, 0) of B[1] evaluates to a nonzero value too small for a float"
+
+
+@pytest.fixture
+def tiny_entry_file(tmp_path):
+    """The shared demo with B_1 = p2 / 2^1100: nonzero, but 0.0 as a float unless p2 is huge."""
+    doc = _shared_demo_doc()
+    doc["B"][0][0]["terms"][0]["coeff"] = f"1/{2 ** 1100}"
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestUnderflowingSample:
+    """A nonzero entry that rounds to 0.0 fails the sample, as one too large does."""
+
+    def test_analyze_keeps_its_report(self, tiny_entry_file, capsys):
+        assert main(["analyze", str(tiny_entry_file), "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        # the exact routes see the tiny entry: no SFS, and they agree
+        assert report["consistency"]["agree"]
+        assert set(report["consistency"]["has_sfs_values"]) == {False}
+        samples = report["fixed_spectrum_samples"]
+        assert all(sample["point"]["p2"] != "0" for sample in samples)
+        assert all(sample["fixed_eigenvalues"] is None for sample in samples)
+        assert all(sample["failure"] == TINY_FAILURE for sample in samples)
+
+    def test_fixed_modes_prints_one_error_line(self, tiny_entry_file, capsys):
+        argv = ["fixed-modes", str(tiny_entry_file), "--set", "p1=2", "--set", "p2=3",
+                "--set", "p3=5", "--set", "p4=7"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {TINY_FAILURE}\n"
+        # at p2 = 0 the entry is an exact zero and the point is reported as usual
+        argv[5] = "p2=0"
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "" and "routes agree: True" in captured.out
+
+    def test_subnormal_entries_convert(self):
+        # 2^-1074 is the smallest subnormal float; half of it rounds to 0.0
+        ok = NumericSystem.build(A=[[Fraction(1, 2**1074)]], B_blocks=[[[1]]], C_blocks=[[[1]]])
+        assert ok.A_array()[0, 0] == 2.0**-1074
+        tiny = NumericSystem.build(A=[[1]], B_blocks=[[[1]]], C_blocks=[[[Fraction(1, 2**1076)]]])
+        with pytest.raises(FloatRangeError, match=r"entry \(0, 0\) of C\[1\] evaluates to a "
+                           "nonzero value too small for a float"):
+            tiny.C_array()
 
 
 # -- argv: the --set pairs kept out of argparse's scan ------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from sfspectrum.fixedmodes import (
     _cluster,
     _gain_free_states,
     _one_channel_screen,
+    _screen_sides,
     _witnesses,
 )
 from sfspectrum.system import all_subsets
@@ -319,6 +321,57 @@ def screen_ensemble_system(rng):
 SCREEN_ENSEMBLE = [screen_ensemble_system(random.Random(f"screen/{i}")) for i in range(500)]
 
 
+def mid_ensemble_system(rng, planted):
+    """Sparse integer systems, n 16-32 and k 3-5, as in the fixed-modes benchmark.
+
+    A random cycle through the states keeps A irreducible.  A planted state
+    j is unobservable (its A column and every C column are zero off the
+    diagonal) or uncontrollable (its A row and every B row are), so A_jj is
+    a fixed mode.
+    """
+    n = rng.choice([16, 20, 24, 32])
+    k = rng.randint(3, 5)
+    channels = [(rng.randint(1, 2), rng.randint(1, 2)) for _ in range(k)]
+
+    def coeff():
+        return Fraction(rng.choice([-9, -7, -5, -3, -2, -1, 1, 2, 3, 5, 7, 9]))
+
+    A = [[Fraction(0)] * n for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:] + order[:1]):
+        A[b][a] = coeff()
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < 0.1:
+                A[i][j] = coeff()
+    B_blocks = [[[coeff() if rng.random() < 0.15 else Fraction(0) for _ in range(m_i)]
+                 for _ in range(n)] for m_i, _ in channels]
+    C_blocks = [[[coeff() if rng.random() < 0.15 else Fraction(0) for _ in range(n)]
+                 for _ in range(l_i)] for _, l_i in channels]
+    if planted:
+        j = rng.randrange(n)
+        A[j][j] = coeff()
+        if rng.random() < 0.5:
+            for i in range(n):
+                if i != j:
+                    A[i][j] = Fraction(0)
+            for C in C_blocks:
+                for row in C:
+                    row[j] = Fraction(0)
+        else:
+            for i in range(n):
+                if i != j:
+                    A[j][i] = Fraction(0)
+            for B in B_blocks:
+                B[j] = [Fraction(0)] * len(B[j])
+    return NumericSystem.build(A=A, B_blocks=B_blocks, C_blocks=C_blocks)
+
+
+MID_ENSEMBLE = [mid_ensemble_system(random.Random(f"mid/{i}"), planted=i % 2 == 1)
+                for i in range(40)]
+
+
 class TestScreenedFixedSpectrum:
     """The screened route equals the unscreened one and skips only decided pairs."""
 
@@ -395,7 +448,11 @@ class TestScreenedFixedSpectrum:
 
 
 def full_one_channel_screen(nsys, lams, tol):
-    """The screen without its early exit: both SVDs of every channel at every lambda."""
+    """The SVD screen the Gram screen replaced, without its early exit.
+
+    sigma_n of each side of every channel at every lambda, by SVD, against
+    thr computed as a sum of squares.
+    """
     A, B, C = nsys._floats
     n = nsys.n
     shifted = lams.reshape(-1, 1, 1) * np.eye(n) - A
@@ -410,6 +467,20 @@ def full_one_channel_screen(nsys, lams, tol):
         C_i = np.broadcast_to(C[rows], (lams.size, len(rows), n))
         sigma = np.linalg.svd(np.concatenate((shifted, C_i), axis=1), compute_uv=False)
         c_pass |= np.where(sigma[:, n - 1] > thr, 1 << i, 0)
+    return b_pass, c_pass
+
+
+def gram_screen_without_early_exit(nsys, lams, tol):
+    """The Gram screen with every side of every channel factored at every lambda."""
+    every = np.arange(lams.size)
+    b_pass = np.zeros(lams.size, dtype=np.int64)
+    c_pass = np.zeros(lams.size, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sides = _screen_sides(nsys, lams, tol)
+        for i in range(nsys.k):
+            b_ok, c_ok = sides(i, every)
+            b_pass |= np.where(b_ok, 1 << i, 0)
+            c_pass |= np.where(c_ok, 1 << i, 0)
     return b_pass, c_pass
 
 
@@ -437,38 +508,105 @@ class TestScreenEarlyExit:
 
         monkeypatch.setattr(fixedmodes, "pencil_rank_deficient", recorded)
         tested = 0
-        for ns in SCREEN_ENSEMBLE + [classic_numeric, chain_with_fixed_mode()]:
+        for ns in SCREEN_ENSEMBLE + MID_ENSEMBLE[:6] + [classic_numeric, chain_with_fixed_mode()]:
             lams = np.linalg.eigvals(ns.A_array()).astype(complex)
             assert open_pairs(ns, *_one_channel_screen(ns, lams, 1e-9)) == open_pairs(
-                ns, *full_one_channel_screen(ns, lams, 1e-9)
+                ns, *gram_screen_without_early_exit(ns, lams, 1e-9)
             )
             reps = _cluster(list(map(complex, lams)), 1e-6)
             outcomes = []
-            for screen in (full_one_channel_screen, _one_channel_screen):
+            for screen in (gram_screen_without_early_exit, _one_channel_screen):
                 monkeypatch.setattr(fixedmodes, "_one_channel_screen", screen)
                 calls.clear()
                 outcomes.append((_witnesses(ns, reps, 1e-9), list(calls)))
             assert outcomes[1] == outcomes[0]
             tested += len(calls)
+            # the SVD screen leaves fewer pairs open, and they give the same witnesses
+            monkeypatch.setattr(fixedmodes, "_one_channel_screen", full_one_channel_screen)
+            assert _witnesses(ns, reps, 1e-9) == outcomes[0][0]
         assert tested > 50
 
     def test_fewer_pencils_reach_the_svd(self, monkeypatch):
-        real_svd = np.linalg.svd
-        pencils = []
+        real_svd, real_cholesky = np.linalg.svd, np.linalg.cholesky
+        pencils, factored = [], []
 
-        def counted(a, *args, **kwargs):
+        def counted_svd(a, *args, **kwargs):
             pencils.append(int(np.prod(np.shape(a)[:-2])))
             return real_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        def counted_cholesky(a, *args, **kwargs):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return real_cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         totals = []
-        for screen in (full_one_channel_screen, _one_channel_screen):
+        for screen in (full_one_channel_screen, gram_screen_without_early_exit,
+                       _one_channel_screen):
             pencils.clear()
+            factored.clear()
             for ns in SCREEN_ENSEMBLE:
                 screen(ns, np.linalg.eigvals(ns.A_array()).astype(complex), 1e-9)
-            totals.append(sum(pencils))
-        full, early = totals
-        assert early < full
+            totals.append((sum(pencils), sum(factored)))
+        (svd_pencils, _), (none, full), (zero, early) = totals
+        # the Gram screen runs no SVD at all; its early exit factors fewer matrices
+        assert svd_pencils > 0 and none == zero == 0
+        assert 0 < early < full
+
+
+class TestGramScreen:
+    """Every side the Cholesky screen clears is one the SVD screen clears."""
+
+    @staticmethod
+    def masks(ns):
+        lams = np.linalg.eigvals(ns.A_array()).astype(complex)
+        return (
+            _one_channel_screen(ns, lams, 1e-9),
+            gram_screen_without_early_exit(ns, lams, 1e-9),
+            full_one_channel_screen(ns, lams, 1e-9),
+        )
+
+    @pytest.mark.parametrize("name", ["screen", "mid"])
+    def test_cleared_sides_are_cleared_by_the_svd_screen(self, name):
+        systems = SCREEN_ENSEMBLE if name == "screen" else MID_ENSEMBLE
+        cleared = svd_cleared = 0
+        for ns in systems:
+            early, full, svd = self.masks(ns)
+            for gram in (early, full):
+                assert not np.any(gram[0] & ~svd[0]) and not np.any(gram[1] & ~svd[1])
+            cleared += sum(bin(int(x)).count("1") for mask in full for x in mask)
+            svd_cleared += sum(bin(int(x)).count("1") for mask in svd for x in mask)
+        # the bound gives up few of the sides the SVD screen clears
+        assert cleared >= 0.95 * svd_cleared
+
+    def test_mid_size_ensemble_equals_the_unscreened_route(self):
+        planted_fixed = 0
+        for i, ns in enumerate(MID_ENSEMBLE):
+            got = [(fe.value, fe.witnesses) for fe in fixed_spectrum(ns).fixed_eigenvalues]
+            assert got == old_fixed_spectrum(ns)
+            planted_fixed += i % 2 == 1 and bool(got)
+        assert planted_fixed == len(MID_ENSEMBLE) // 2
+
+    @pytest.mark.parametrize("scale", [Fraction(10) ** 200, Fraction(10) ** -150])
+    def test_entries_out_of_the_bounds_range_stay_open(self, scale):
+        # near 1e200 the Gram squares overflow, near 1e-150 they underflow: the
+        # screen clears nothing there and the pencil tests decide every pair
+        systems = [
+            NumericSystem.build(
+                A=[[x * scale for x in row] for row in ns.A],
+                B_blocks=[[[x * scale for x in row] for row in B] for B in ns.B_blocks],
+                C_blocks=[[[x * scale for x in row] for row in C] for C in ns.C_blocks],
+            )
+            for ns in SCREEN_ENSEMBLE[:60] + MID_ENSEMBLE[:2]
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ns in systems:
+                lams = np.linalg.eigvals(ns.A_array()).astype(complex)
+                b_pass, c_pass = _one_channel_screen(ns, lams, 1e-9)
+                assert not b_pass.any() and not c_pass.any()
+                got = [(fe.value, fe.witnesses) for fe in fixed_spectrum(ns).fixed_eigenvalues]
+                assert got == old_fixed_spectrum(ns)
 
 
 class TestBatchedOracle:
