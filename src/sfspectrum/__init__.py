@@ -12,8 +12,6 @@ from .polymatrix import (
     ParamMatrix,
     ParamPoint,
     ParamPoly,
-    field_point,
-    grank,
     rank_exact,
 )
 from .system import (
@@ -65,9 +63,7 @@ __all__ = [
     "ParamPoly",
     "ParamMatrix",
     "ParamPoint",
-    "grank",
     "rank_exact",
-    "field_point",
     "MultiChannelSystem",
     "ChannelSubset",
     "LinearParamDecomposition",

@@ -180,8 +180,6 @@ class NumericSystem:
     @classmethod
     def from_system(cls, sys: MultiChannelSystem, point: ParamPoint) -> "NumericSystem":
         """Evaluate a parameterized system at a rational parameter point."""
-        if point.modulus is not None:
-            raise ValueError("numeric systems require a rational point")
         # a rational evaluation already yields Fraction entries
         return cls(
             n=sys.n,

@@ -1,11 +1,9 @@
-"""Exact sparse multivariate polynomials, matrices of them, and generic rank.
+"""Exact sparse multivariate polynomials, matrices of them, and exact rank.
 
 Coefficients are kept as exact ``Fraction`` values end to end, so algebraic
 identities (a product being the zero polynomial, a determinant vanishing) are
-decided without floating-point noise.  Rank questions about a parameterized
-matrix are answered by evaluating at random points of a large prime field and
-taking the best rank observed; the estimate never exceeds the true generic
-rank.
+decided without floating-point noise.  Matrices evaluate exactly over Q or
+over the prime field GF(p) that the randomized routes sample.
 
 The sampling stop of every randomized claim lives here.  A false claim
 survives an independent uniform point of GF(p) only where a nonzero
@@ -13,16 +11,15 @@ polynomial vanishes, with probability at most its degree over p (Schwartz,
 *JACM* 1980; Zippel 1979), so t points bound it by (degree / p)^t.
 ``_confirm`` samples a claim until that bound, times the number of claims a
 false verdict may come from, is at most ``FAILURE_TARGET`` = 2^-40, or until
-``trials`` points; ``trials`` is a cap and must be at least 1.  ``grank``
-samples through it: a sampled rank falls short of the generic rank r only
-where a nonzero r x r minor vanishes, of degree at most min(rows, cols) times
-the largest entry degree.  The claims of the decision routes and their
+``trials`` points; ``trials`` is a cap and must be at least 1.  Claims of
+one decision may read the same points: the factor is a union bound, which
+needs no independence between claims, only each claim's own points
+independent of one another.  The claims of the decision routes and their
 degrees are in the ``structural`` module docstring.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -36,8 +33,6 @@ __all__ = [
     "ParamPoint",
     "Echelon",
     "rank_exact",
-    "grank",
-    "field_point",
 ]
 
 # First prime above 2**61.  Desk-scale minors have degree far below the field
@@ -260,26 +255,13 @@ class ParamPoly:
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """A sampled value of the parameter vector.
-
-    ``values`` holds exact rationals when ``modulus`` is None, otherwise
-    residues of the prime field GF(modulus).  ``seed`` records how the point
-    was drawn so every verdict is reproducible.
-    """
+    """A value of the parameter vector, exact rationals; ``seed`` records its draw."""
 
     values: tuple
     seed: int
-    modulus: int | None = None
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def field_point(param_count: int, seed: int, modulus: int = FIELD_PRIME) -> ParamPoint:
-    """Draw a uniform point of GF(modulus)^param_count."""
-    rng = random.Random(seed)
-    values = tuple(rng.randrange(modulus) for _ in range(param_count))
-    return ParamPoint(values=values, seed=seed, modulus=modulus)
 
 
 class ParamMatrix:
@@ -433,12 +415,12 @@ class ParamMatrix:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: ParamPoint) -> list[list]:
-        """Entrywise exact evaluation; rational or prime-field per the point."""
+        """Entrywise exact evaluation at a rational point."""
         if len(point) != self.param_count:
             raise ValueError(
                 f"point has {len(point)} coordinates, matrix expects {self.param_count}"
             )
-        return self.evaluate_at(point.values, point.modulus)
+        return self.evaluate_at(point.values)
 
     def evaluate_at(self, values: Sequence, modulus: int | None = None) -> list[list]:
         if modulus is None:
@@ -575,25 +557,3 @@ def _confirm(settles, degree: int, p: int, trials: int, claims: int = 1) -> Frac
         return None
     return _bound(degree, p, trials, claims)
 
-
-def grank(m: ParamMatrix, trials: int = 10, seed: int = 0) -> int:
-    """Generic rank of a parameterized matrix by randomized evaluation.
-
-    The result never exceeds the true generic rank.  A full-rank sample
-    settles it; otherwise the best rank stands once (degree / p)^t is at
-    most FAILURE_TARGET, degree = min(rows, cols) times the largest entry
-    degree, or after ``trials`` points (module docstring).
-    """
-    cap = min(m.rows, m.cols)
-    p = evaluation_prime([m])
-    rng = random.Random(seed)
-    best = 0
-
-    def full_rank(_):
-        nonlocal best
-        values = [rng.randrange(p) for _ in range(m.param_count)]
-        best = max(best, rank_exact(m.evaluate_at(values, p), p))
-        return best == cap
-
-    _confirm(full_rank, cap * m.degree(), p, trials)
-    return best

@@ -2,40 +2,34 @@
 
 Three decision routes are provided:
 
-* ``decide_polynomial`` works for any polynomial parameterization.  It draws
-  ``trials`` points uniformly in GF(p)^q, p the system's evaluation prime,
-  shares them across every channel subset, and evaluates the system once
-  per point.  A subset's bordered pencil drops rank at lambda only if lambda
-  is a fixed mode, an eigenvalue of A + B K C for every block-diagonal K
-  (Wang & Davison, 1973).  So at the first point a constant gcd of the
-  characteristic polynomials of A and of A + B K C, for one uniform K,
-  certifies every subset at once.  Otherwise each subset is tested point by
-  point: a drop at lambda forces lambda into the spectrum of A + B_S E + K C
-  for every E and K, so a constant gcd with one uniform perturbation proves
-  that the subset drops nowhere at that point.  The characteristic
-  polynomials and their gcd are computed in GF(p); the points are integer
-  residues, the polynomials are monic with p-integral coefficients, so by
-  Gauss's lemma a constant gcd mod p proves a constant gcd over Q and the
-  certificate stays exact.  Because rank-deficiency sets are proper
-  algebraic varieties, one certifying sample discards a subset for almost
-  every parameter value.
+* ``decide_polynomial`` works for any polynomial parameterization.  A
+  subset's bordered pencil drops rank at lambda only if lambda is a fixed
+  mode, an eigenvalue of A + B K C for every block-diagonal K (Wang &
+  Davison, 1973).  A constant gcd of characteristic polynomials mod p
+  certifies at a point that no subset drops (``_no_fixed_mode_at``) or that
+  one subset drops nowhere (``pencil_drop_at_point``), exactly, by Gauss's
+  lemma.  Because rank-deficiency sets are proper algebraic varieties, one
+  certifying sample discards a subset for almost every parameter value.
 
 * ``decide_linear`` specializes to linearly parameterized systems: the system
   has a structurally fixed spectrum iff the closed-loop generic rank of
   A + B F C (F the fresh-parameter feedback pattern) falls below n, or some
   channel subset has an identically-zero transfer to the complement outputs
   while its generic controllable dimension stays below the complement's
-  generic unobservable dimension.  Every question is answered at uniform
-  points of GF(p).
+  generic unobservable dimension.
 
 * the graphical route for binary parameterizations lives in ``graph``.
 
-No-SFS verdicts rest on an explicit certificate and report failure bound 0.
-An SFS verdict rests on claims checked at independent uniform points of
-GF(p), each sampled through ``polymatrix._confirm``: until (degree / p)^t,
-times the number of claims a false verdict may come from, is at most
+Both routes answer every question at the points of one ``_SamplePoints``:
+uniform points of GF(p)^q, p the system's evaluation prime, each evaluated
+once and shared by all the claims of the decision.  No-SFS verdicts rest on
+an explicit certificate and report failure bound 0.  An SFS verdict rests on
+claims sampled through ``polymatrix._confirm``: until (degree / p)^t, times
+the number of claims a false verdict may come from, is at most
 ``FAILURE_TARGET`` = 2^-40, or until ``trials`` points (the stop rule and
 its Schwartz-Zippel argument are in the ``polymatrix`` module docstring).
+That factor is a union bound, so it holds although claims share points;
+each claim's own points are independent.
 The verdict reports the bound it reached as
 ``diagnostics["failure_bound"]``, a float rounded from an exact fraction of
 integers.  With d_A, d_B and d_C the largest entry degrees of A, the B
@@ -82,7 +76,6 @@ from .system import (
     _own_decomposition,
     channel_spans,
     feedback_slots,
-    split,
     stack,
 )
 
@@ -257,27 +250,49 @@ def _uniform(rng: random.Random, rows: int, cols: int, p: int):
     return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
 
 
-@dataclass(frozen=True)
 class _SamplePoint:
-    """A system evaluated once at a point of GF(p): A, the stacked B and C, chi(A)."""
+    """A system evaluated once at a point of GF(p): A, the stacked B and C, and
+    chi(A) on its first use.  A subset's B_S and C_compl are slices of B and C."""
 
-    A: list
-    B: list
-    C: list
-    char_A: list
+    def __init__(self, sys: MultiChannelSystem, stacked, residues):
+        self.sys = sys
+        self.A, self.B, self.C = (M.evaluate_at(residues, sys.prime) for M in (sys.A, *stacked))
+        self._char_A = None
+
+    @property
+    def char_A(self) -> list:
+        if self._char_A is None:
+            self._char_A = char_poly_exact(self.A, self.sys.prime)
+        return self._char_A
+
+    def split(self, s: ChannelSubset) -> tuple[list, list]:
+        """(B_S, C_compl) at this point, blocks in increasing channel order."""
+        if any(i >= self.sys.k for i in s):
+            raise ValueError(f"channel index out of range for k={self.sys.k}")
+        in_cols, out_rows = channel_spans(self.sys.channels)
+        cols = [c for i in s for c in in_cols[i]]
+        C = [self.C[r] for j in s.complement(self.sys.k) for r in out_rows[j]]
+        return [[row[c] for c in cols] for row in self.B], C
 
 
-def _evaluate(sys: MultiChannelSystem, stacked, residues) -> _SamplePoint:
-    """The system at a point of integer residues; ``stacked`` is ``stack(sys)``."""
-    p = sys.prime
-    B, C = stacked
-    A = sys.A.evaluate_at(residues, p)
-    return _SamplePoint(
-        A=A,
-        B=B.evaluate_at(residues, p),
-        C=C.evaluate_at(residues, p),
-        char_A=char_poly_exact(A, p),
-    )
+class _SamplePoints:
+    """The points of one decision, shared by all its questions: ``values`` (lists
+    of q residues) then further uniform draws from ``rng``, each point drawn when
+    first asked for and evaluated once."""
+
+    def __init__(self, sys: MultiChannelSystem, rng: random.Random, values=()):
+        self.sys = sys
+        self.rng = rng
+        self.stacked = stack(sys)
+        self.values = list(values)
+        self._evaluated = {}
+
+    def __getitem__(self, t: int) -> _SamplePoint:
+        while len(self.values) <= t:
+            self.values.append([self.rng.randrange(self.sys.prime) for _ in range(self.sys.q)])
+        if t not in self._evaluated:
+            self._evaluated[t] = _SamplePoint(self.sys, self.stacked, self.values[t])
+        return self._evaluated[t]
 
 
 def pencil_drop_at_point(
@@ -305,19 +320,16 @@ def pencil_drop_at_point(
     reports a drop; by the Schwartz-Zippel lemma the draw shares a root with
     chi(A) that no drop forces with probability at most n^2 / p.
     ``decide_polynomial`` passes the system already evaluated at ``values``
-    as ``_point``.
+    as ``_point``.  ``values`` must have one coordinate per parameter.
     """
-    if any(i >= sys.k for i in s):
-        raise ValueError(f"channel index out of range for k={sys.k}")
+    if len(values) != sys.q:
+        raise ValueError(f"point has {len(values)} coordinates, system expects {sys.q}")
     p = sys.prime
     if _point is None:
-        _point = _evaluate(sys, stack(sys), [_residue(v, p) for v in values])
-    in_cols, out_rows = channel_spans(sys.channels)
-    cols = [c for i in s for c in in_cols[i]]
-    B = [[row[c] for c in cols] for row in _point.B]
-    C = [_point.C[r] for j in s.complement(sys.k) for r in out_rows[j]]
+        _point = _SamplePoint(sys, stack(sys), [_residue(v, p) for v in values])
+    B, C = _point.split(s)
     rng = random.Random(seed)
-    n, ms, lc = sys.n, len(cols), len(C)
+    n, ms, lc = sys.n, len(B[0]), len(C)
     if not ms and not lc:
         return True  # no feedback paths at all: every eigenvalue of A drops the pencil
     M = _point.A
@@ -373,15 +385,14 @@ def decide_polynomial(
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     p = sys.prime
-    points = [[rng.randrange(p) for _ in range(sys.q)] for _ in range(trials)]
-    labels = [[str(v) for v in values] for values in points]
-    stacked = stack(sys)
-    evaluated = [_evaluate(sys, stacked, points[0])]
+    values = [[rng.randrange(p) for _ in range(sys.q)] for _ in range(trials)]
+    points = _SamplePoints(sys, rng, values)
+    labels = [[str(v) for v in row] for row in values]
     subsets = sys.subsets()
     subset_diag = []
     witness = None
     bound = Fraction(0)
-    if _no_fixed_mode_at(sys, evaluated[0], rng):
+    if _no_fixed_mode_at(sys, points[0], rng):
         subset_diag = [
             {
                 "subset": [i + 1 for i in s.members],
@@ -397,12 +408,8 @@ def decide_polynomial(
             samples = []
 
             def certifies(t):
-                if t == len(evaluated):
-                    evaluated.append(_evaluate(sys, stacked, points[t]))
                 sub_seed = rng.randrange(2**32)
-                drop = pencil_drop_at_point(
-                    sys, s, points[t], seed=sub_seed, _point=evaluated[t]
-                )
+                drop = pencil_drop_at_point(sys, s, values[t], seed=sub_seed, _point=points[t])
                 samples.append({"point": labels[t], "pencil_drop": drop, "seed": sub_seed})
                 return not drop
 
@@ -465,7 +472,7 @@ def _mat_add_mod(a, b, p):
 
 
 def markov_identity(
-    sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
+    sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0, *, _points=None
 ) -> bool:
     """True iff every product C_compl A^j B_S (j < n) is the zero polynomial matrix.
 
@@ -473,26 +480,22 @@ def markov_identity(
     random prime-field points; any nonzero entry is an exact refutation.
     All-zero results confirm the identity once 2^(k+1) (degree / p)^t is at
     most FAILURE_TARGET, degree = d_C + (n - 1) d_A + d_B (module
-    docstring), or after ``trials`` points.
+    docstring), or after ``trials`` points.  With no column in B_S or no
+    row in C_compl every product is empty, and no point refutes it.
     """
-    if trials < 1:  # checked before the early return, as ``_points`` would
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    B_S, C_compl = split(sys, s)
-    if B_S.cols == 0 or C_compl.rows == 0:
-        return True
+    points = _SamplePoints(sys, random.Random(seed)) if _points is None else _points
     p = sys.prime
 
-    def refutes(_):
-        values = [rng.randrange(p) for _ in range(sys.q)]
-        A = sys.A.evaluate_at(values, p)
-        M = B_S.evaluate_at(values, p)
-        C = C_compl.evaluate_at(values, p)
+    def refutes(t):
+        point = points[t]
+        M, C = point.split(s)
+        if not M[0] or not C:
+            return False  # an empty product, whatever A is
         for _ in range(sys.n):
             prod = _mat_mul_mod(C, M, p)
             if any(x for row in prod for x in row):
                 return True
-            M = _mat_mul_mod(A, M, p)
+            M = _mat_mul_mod(point.A, M, p)
         return False
 
     return _confirm(refutes, _markov_degree(sys), p, trials, claims=2 ** (sys.k + 1)) is not None
@@ -516,7 +519,7 @@ def _krylov_dim(rows, M, p: int) -> int:
 
 
 def generic_dims(
-    sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0
+    sys: MultiChannelSystem, s: ChannelSubset, trials: int = 10, seed: int = 0, *, _points=None
 ) -> GenericDims:
     """Generic controllable dimension of (A, B_S) and unobservable of (C_compl, A).
 
@@ -542,53 +545,52 @@ def generic_dims(
     2^(k+1) (degree / p)^t is at most FAILURE_TARGET, degree the sum of the
     two Krylov minor degrees (module docstring), or after ``trials`` points.
     """
-    rng = random.Random(seed)
-    B_S, C_compl = split(sys, s)
-    n = sys.n
+    if any(i >= sys.k for i in s):
+        raise ValueError(f"channel index out of range for k={sys.k}")
+    points = _SamplePoints(sys, random.Random(seed)) if _points is None else _points
     p = sys.prime
-    reach = sys.pattern_reach
-    ctrb_cap = int(reach[[i for (i, _), _ in B_S.items()]].any(axis=0).sum())
-    obs_cap = int(reach[:, [j for (_, j), _ in C_compl.items()]].any(axis=1).sum())
+    rows = [i for j in s for (i, _), _ in sys.B_blocks[j].items()]
+    cols = [c for j in s.complement(sys.k) for (_, c), _ in sys.C_blocks[j].items()]
+    ctrb_cap = int(sys.pattern_reach[rows].any(axis=0).sum())
+    obs_cap = int(sys.pattern_reach[:, cols].any(axis=1).sum())
     best_ctrb = best_obs = 0
 
-    def reaches_caps(_):
+    def reaches_caps(t):
         nonlocal best_ctrb, best_obs
-        values = [rng.randrange(p) for _ in range(sys.q)]
-        A = sys.A.evaluate_at(values, p)
-        if B_S.cols:
-            columns = list(zip(*B_S.evaluate_at(values, p)))
-            best_ctrb = max(best_ctrb, _krylov_dim(columns, list(zip(*A)), p))
-        if C_compl.rows:
-            best_obs = max(best_obs, _krylov_dim(C_compl.evaluate_at(values, p), A, p))
+        point = points[t]
+        B_S, C_compl = point.split(s)
+        best_ctrb = max(best_ctrb, _krylov_dim(list(zip(*B_S)), list(zip(*point.A)), p))
+        best_obs = max(best_obs, _krylov_dim(C_compl, point.A, p))
         return best_ctrb == ctrb_cap and best_obs == obs_cap
 
     _confirm(reaches_caps, _krylov_degree(sys), p, trials, claims=2 ** (sys.k + 1))
-    return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)
+    return GenericDims(ctrb_dim=best_ctrb, unobs_dim=sys.n - best_obs)
 
 
 def closed_loop_generic_rank(
-    sys: MultiChannelSystem, trials: int = 10, seed: int = 0
+    sys: MultiChannelSystem, trials: int = 10, seed: int = 0, *, _points=None
 ) -> int:
     """Generic rank of A + B F C over the joint (system, feedback) parameters.
 
     A full-rank point settles it; otherwise the maximum over the points
     stands once (degree / p)^t is at most FAILURE_TARGET, degree =
     n max(d_A, d_B + d_C + 1) (module docstring), or after ``trials``
-    points.
+    points.  The gain F at each point is drawn from ``seed``, also when the
+    points are passed as ``_points``.
     """
-    B, C = stack(sys)
     rng = random.Random(seed)
+    points = _SamplePoints(sys, rng) if _points is None else _points
     p = sys.prime
     best = 0
 
-    def full_rank(_):
+    def full_rank(t):
         nonlocal best
-        values = [rng.randrange(p) for _ in range(sys.q)]
+        point = points[t]
         K = _block_diagonal_gain(sys, rng)
-        closed = sys.A.evaluate_at(values, p)
+        closed = point.A
         if sys.m and sys.l:
-            BK = _mat_mul_mod(B.evaluate_at(values, p), K, p)
-            closed = _mat_add_mod(closed, _mat_mul_mod(BK, C.evaluate_at(values, p), p), p)
+            BK = _mat_mul_mod(point.B, K, p)
+            closed = _mat_add_mod(closed, _mat_mul_mod(BK, point.C, p), p)
         best = max(best, rank_exact(closed, p))
         return best == sys.n
 
@@ -626,7 +628,8 @@ def decide_linear(
     _own_decomposition(sys, decomp)
     rng = random.Random(seed)
     p = sys.prime
-    g = closed_loop_generic_rank(sys, trials=trials, seed=rng.randrange(2**32))
+    points = _SamplePoints(sys, rng)  # drawn on first use, after the gains' seed
+    g = closed_loop_generic_rank(sys, trials=trials, seed=rng.randrange(2**32), _points=points)
     diagnostics: dict = {
         "trials": trials,
         "seed": seed,
@@ -645,10 +648,10 @@ def decide_linear(
         )
     witness = None
     for s in sys.subsets():
-        zero_transfer = markov_identity(sys, s, trials=trials, seed=rng.randrange(2**32))
+        zero_transfer = markov_identity(sys, s, trials=trials, _points=points)
         entry = {"subset": [i + 1 for i in s.members], "markov_zero": zero_transfer}
         if zero_transfer:
-            dims = generic_dims(sys, s, trials=trials, seed=rng.randrange(2**32))
+            dims = generic_dims(sys, s, trials=trials, _points=points)
             entry["ctrb_dim"] = dims.ctrb_dim
             entry["unobs_dim"] = dims.unobs_dim
             if dims.ctrb_dim < dims.unobs_dim:

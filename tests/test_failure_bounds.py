@@ -18,13 +18,13 @@ import pytest
 
 from sfspectrum import NotLinearlyParameterized, detect_linear_parameterization
 from sfspectrum.ensembles import random_binary_system
-from sfspectrum.polymatrix import FAILURE_TARGET, _bound, _points, grank, rank_exact
+from sfspectrum.cli import parse_system
+from sfspectrum.polymatrix import FAILURE_TARGET, _bound, _points, rank_exact
 from sfspectrum.structural import (
     REASON_GENERIC_RANK,
     REASON_PENCIL_DROP,
     REASON_PROPER_SUBSPACE,
     GenericDims,
-    _evaluate,
     _krylov_degree,
     _krylov_dim,
     _markov_degree,
@@ -32,6 +32,7 @@ from sfspectrum.structural import (
     _mat_mul_mod,
     _no_fixed_mode_at,
     _rank_degree,
+    _SamplePoints,
     closed_loop_generic_rank,
     decide_linear,
     decide_polynomial,
@@ -40,7 +41,7 @@ from sfspectrum.structural import (
     pencil_drop_at_point,
 )
 from sfspectrum.system import ChannelSubset, split, stack
-from conftest import symbolic_feedback
+from conftest import PERFBENCH, perfbench_module, symbolic_feedback
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
@@ -68,8 +69,7 @@ def old_decide_polynomial(sys_, trials=10, seed=0):
     p = sys_.prime
     points = [[rng.randrange(p) for _ in range(sys_.q)] for _ in range(trials)]
     labels = [[str(v) for v in values] for values in points]
-    stacked = stack(sys_)
-    evaluated = [_evaluate(sys_, stacked, points[0])]
+    evaluated = _SamplePoints(sys_, rng, points)
     subset_diag = []
     witness = None
     if _no_fixed_mode_at(sys_, evaluated[0], rng):
@@ -86,8 +86,6 @@ def old_decide_polynomial(sys_, trials=10, seed=0):
             samples = []
             certified = False
             for t, values in enumerate(points):
-                if t == len(evaluated):
-                    evaluated.append(_evaluate(sys_, stacked, values))
                 drop = pencil_drop_at_point(
                     sys_, s, values, seed=rng.randrange(2**32), _point=evaluated[t]
                 )
@@ -250,6 +248,13 @@ class TestMatchesTheConfirmAllRoutes:
             kinds.add((compare_pencil(sys_, seed), compare_linear(sys_, seed)))
         assert kinds == {(False, False), (True, True)}
 
+    def test_linear_scale_corpus(self, tmp_path):
+        # the 80 systems of the benchmark's seed-7 linear-scale corpus, n 8-24
+        # and k 3-4, each decided with its own operation seed
+        items = perfbench_module("workloads").LinearScale().build(7, tmp_path, PERFBENCH.parent)
+        verdicts = [compare_linear(parse_system(item.path)[0], item.op_seed) for item in items]
+        assert len(verdicts) == 80 and 10 <= sum(verdicts) <= 70
+
     def test_nonlinear_polynomial_systems(self):
         verdicts = [compare_pencil(random_polynomial_system(seed), seed) for seed in range(80)]
         assert 10 <= sum(verdicts) <= 70
@@ -310,12 +315,12 @@ class TestReportedBound:
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 route(worked_system, trials=trials)
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            grank(worked_system.A, trials=trials)
+            generic_dims(worked_system, ChannelSubset.of(0), trials=trials)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_markov_identity_checks_its_cap_before_its_early_returns(self, worked_system, trials):
-        # S = {} has no input column and S = {1, 2} leaves no output row, so
-        # both return before any point is drawn; S = {1} samples
+        # S = {} has no input column and S = {1, 2} leaves no output row: with
+        # nothing to refute they still check the cap, as S = {1} does
         for members in ((), (0, 1), (0,)):
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 markov_identity(worked_system, ChannelSubset(members), trials=trials)

@@ -250,6 +250,17 @@ def no_sfs_systems():
     return [s for s in systems if not old_decide_polynomial(s, seed=1)[0]]
 
 
+@pytest.mark.parametrize("coordinates", [0, 4])
+def test_pencil_drop_refuses_a_point_of_the_wrong_length(coordinates):
+    # chain_fixed_mode has q = 1: a longer point used to be truncated (and
+    # report a drop), an empty one to raise a bare IndexError
+    sys_ = golden_system("chain_fixed_mode.json")
+    assert sys_.q == 1
+    with pytest.raises(ValueError, match=f"point has {coordinates} coordinates, system expects 1"):
+        pencil_drop_at_point(sys_, ChannelSubset.of(0), [2] * coordinates)
+    assert pencil_drop_at_point(sys_, ChannelSubset.of(0), [2])  # {1} is the witness
+
+
 class TestSharedPoints:
     def test_one_shot_certificate_on_no_sfs_systems(self):
         systems = no_sfs_systems()
@@ -311,9 +322,11 @@ class TestSharedPoints:
                 assert min(lengths) > 1 and max(lengths) == 6 and len(lengths) > 1
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        """Counts: three evaluations (A, stacked B, stacked C) and one chi(A)
-        per point used, one chi for the block-diagonal certificate, and one
-        chi per pencil test of a subset with feedback paths."""
+        """Counts: three evaluations (A, stacked B, stacked C) per point used,
+        one chi(A) per point where a gcd needs it, one chi for the
+        block-diagonal certificate, and one chi per pencil test of a subset
+        with feedback paths.  A point that only subsets with no feedback path
+        test computes no chi(A)."""
         from sfspectrum import structural
 
         counts = {"evaluate": 0, "chi": 0}
@@ -332,7 +345,7 @@ class TestSharedPoints:
         systems = [random_polynomial_system(seed) for seed in range(60)]
         systems += [random_binary_system(seed=33_000 + i, max_n=5, max_k=4) for i in range(60)]
         systems += list(degenerate_systems().values())
-        one_shot = 0
+        one_shot = no_chi_A = 0
         for sys_ in systems:
             counts.update(evaluate=0, chi=0)
             verdict = decide_polynomial(sys_, seed=3)
@@ -343,14 +356,17 @@ class TestSharedPoints:
                 one_shot += 1
                 assert counts == {"evaluate": 3, "chi": 2}
                 continue
-            tests = 0
+            tests, gcd_points = 0, {0} if closes_loop else set()
             for entry in entries:
                 s = ChannelSubset(tuple(i - 1 for i in entry["subset"]))
                 B_S, C_compl = split(sys_, s)
                 if B_S.cols or C_compl.rows:
                     tests += len(entry["samples"])
-            assert counts == {"evaluate": 3 * points, "chi": points + closes_loop + tests}
-        assert one_shot >= 20
+                    gcd_points.update(range(len(entry["samples"])))
+            chi = len(gcd_points) + closes_loop + tests
+            assert counts == {"evaluate": 3 * points, "chi": chi}
+            no_chi_A += len(gcd_points) < points
+        assert one_shot >= 20 and no_chi_A >= 1
 
     def test_points_are_uniform_residues_recorded_as_strings(self, worked_system):
         verdict = decide_polynomial(worked_system, seed=4)

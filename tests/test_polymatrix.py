@@ -1,6 +1,5 @@
-"""Exact polynomial arithmetic, evaluation, and randomized generic rank."""
+"""Exact polynomial arithmetic, evaluation, exact rank and the evaluation prime."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,12 +10,10 @@ from sfspectrum import (
     ParamMatrix,
     ParamPoint,
     ParamPoly,
-    field_point,
-    grank,
     rank_exact,
 )
-from sfspectrum.polymatrix import FALLBACK_PRIME, _points, evaluation_prime
-from conftest import symbolic_feedback, two_channel_shared_params
+from sfspectrum.polymatrix import FALLBACK_PRIME, evaluation_prime
+from conftest import two_channel_shared_params
 
 p = ParamPoly.param
 
@@ -163,196 +160,14 @@ def rank_gauss_jordan(matrix, modulus=None):
     return rank
 
 
-def closed_loop_worked_example() -> ParamMatrix:
-    """A + B F C of the worked example over the joint 6-parameter space."""
-    sys_ = two_channel_shared_params()
-    from sfspectrum import stack
-
-    B, C = stack(sys_)
-    # the feedback parameters follow the system's: gain r is parameter q + r
-    F = symbolic_feedback(sys_.channels, offset=sys_.q)
-    gains = dict(F.items())
-    closed = [
-        [
-            sys_.A.entry(i, j)
-            + sum(
-                (B.entry(i, r) * gain * C.entry(c, j) for (r, c), gain in gains.items()),
-                ParamPoly.zero(),
-            )
-            for j in range(sys_.n)
-        ]
-        for i in range(sys_.n)
-    ]
-    return ParamMatrix.from_rows(closed, F.param_count)
-
-
-class TestGrank:
-    def test_single_parameter(self):
-        assert grank(ParamMatrix.from_rows([[p(0)]], 1)) == 1
-
-    def test_rank_one_for_all_parameters(self):
-        m = ParamMatrix.from_rows([[p(0), p(0)], [p(0), p(0)]], 1)
-        assert grank(m) == 1
-
-    def test_worked_example_closed_loop(self):
-        # independent oracle: the 2x2 determinant of A + BFC is a nonzero
-        # polynomial; exhaustive small-grid evaluation finds a nonzero value
-        closed = closed_loop_worked_example()
-        det = (
-            closed.entry(0, 0) * closed.entry(1, 1)
-            - closed.entry(0, 1) * closed.entry(1, 0)
-        )
-        witness = None
-        for values in itertools.product([0, 1, 2], repeat=6):
-            if det.evaluate(values) != 0:
-                witness = values
-                break
-        assert witness is not None
-        assert grank(closed) == 2
-
+class TestEvaluationPrime:
     def test_field_prime_denominator_switches_prime(self):
         m = ParamMatrix.from_rows(
             [[ParamPoly({((0, 1),): Fraction(1, FIELD_PRIME)}), p(1)], [p(1), p(2)]], 3
         )
         assert evaluation_prime([m]) == FALLBACK_PRIME
-        assert grank(m) == 2
+        values = [random.Random(5).randrange(FALLBACK_PRIME) for _ in range(3)]
+        assert rank_exact(m.evaluate_at(values, FALLBACK_PRIME), FALLBACK_PRIME) == 2
         both = ParamPoly.constant(Fraction(1, FIELD_PRIME * FALLBACK_PRIME))
         with pytest.raises(ValueError, match="no evaluation prime fits"):
             evaluation_prime([ParamMatrix.from_rows([[both]], 0)])
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            grank(ParamMatrix.zeros(1, 1, 0), trials=0)
-
-
-def random_sparse_matrix(rng, rows, cols, q, density=0.5):
-    entries = {}
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                entries[(i, j)] = p(rng.randrange(q))
-    return ParamMatrix(rows, cols, entries, q)
-
-
-def max_bipartite_matching(support, rows, cols):
-    """Kuhn's augmenting-path matching; the structural rank oracle."""
-    adj = {}
-    for i, j in support:
-        adj.setdefault(i, []).append(j)
-    match_col = {}
-
-    def try_row(i, seen):
-        for j in adj.get(i, ()):
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in match_col or try_row(match_col[j], seen):
-                match_col[j] = i
-                return True
-        return False
-
-    return sum(try_row(i, set()) for i in range(rows))
-
-
-class TestGrankProperties:
-    def test_monotone_under_adding_columns(self):
-        rng = random.Random(11)
-        for trial in range(25):
-            q = rng.randint(1, 5)
-            rows = rng.randint(1, 4)
-            m1 = random_sparse_matrix(rng, rows, rng.randint(1, 4), q)
-            m2 = random_sparse_matrix(rng, rows, rng.randint(1, 3), q)
-            wide = ParamMatrix.hstack([m1, m2])
-            assert grank(wide, seed=trial) >= grank(m1, seed=trial)
-
-    def test_one_sided_bound_at_sampled_points(self):
-        rng = random.Random(23)
-        for trial in range(25):
-            q = rng.randint(1, 5)
-            m = random_sparse_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), q)
-            g = grank(m, trials=10, seed=trial)
-            for s in range(5):
-                pt = field_point(q, seed=1000 * trial + s)
-                assert rank_exact(m.evaluate(pt), FIELD_PRIME) <= g
-
-    def test_matches_structural_rank_for_distinct_parameters(self):
-        rng = random.Random(37)
-        for trial in range(30):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-            support = [
-                (i, j) for i in range(rows) for j in range(cols) if rng.random() < 0.4
-            ]
-            q = max(1, len(support))
-            entries = {cell: p(idx) for idx, cell in enumerate(support)}
-            m = ParamMatrix(rows, cols, entries, q)
-            assert grank(m, seed=trial) == max_bipartite_matching(support, rows, cols)
-
-    def test_matches_the_best_of_trials_loop_on_these_ensembles(self, monkeypatch):
-        real, checked = grank, []
-
-        def compared(m, trials=10, seed=0):
-            checked.append(real(m, trials=trials, seed=seed))
-            assert checked[-1] == best_of_trials_grank(m, trials, seed)
-            return checked[-1]
-
-        monkeypatch.setitem(globals(), "grank", compared)
-        self.test_monotone_under_adding_columns()
-        self.test_one_sided_bound_at_sampled_points()
-        self.test_matches_structural_rank_for_distinct_parameters()
-        self.test_seed_independent_on_regression_suite()
-        assert len(checked) == 50 + 25 + 30 + 40
-
-    def test_seed_independent_on_regression_suite(self):
-        rng = random.Random(53)
-        suite = [
-            random_sparse_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5))
-            for _ in range(10)
-        ]
-        for m in suite:
-            results = {grank(m, trials=10, seed=s) for s in (1, 2, 3, 4)}
-            assert len(results) == 1
-
-
-def best_of_trials_grank(m, trials=10, seed=0):
-    """The earlier grank: the best rank over up to ``trials`` points, stopping at full rank."""
-    best, cap = 0, min(m.rows, m.cols)
-    prime = evaluation_prime([m])
-    rng = random.Random(seed)
-    for _ in range(trials):
-        values = [rng.randrange(prime) for _ in range(m.param_count)]
-        best = max(best, rank_exact(m.evaluate_at(values, prime), prime))
-        if best == cap:
-            break
-    return best
-
-
-class TestGrankStop:
-    """grank samples through the shared stop: it ends once (degree / p)^t <= 2^-40."""
-
-    def points(self, monkeypatch, m, **kwargs):
-        calls = []
-        evaluate_at = ParamMatrix.evaluate_at
-
-        def counting(self, values, modulus=None):
-            calls.append(values)
-            return evaluate_at(self, values, modulus)
-
-        monkeypatch.setattr(ParamMatrix, "evaluate_at", counting)
-        return grank(m, **kwargs), len(calls)
-
-    def test_rank_deficient_takes_one_point(self, monkeypatch):
-        # degree 2 * 1 over a 61-bit prime: one point already bounds it by 2^-60
-        m = ParamMatrix.from_rows([[p(0), p(0)], [p(0), p(0)]], 1)
-        assert self.points(monkeypatch, m) == (1, 1)
-
-    def test_full_rank_settles_at_the_first_point(self, monkeypatch):
-        m = ParamMatrix.from_rows([[p(0), 1], [0, p(1)]], 2)
-        assert self.points(monkeypatch, m) == (2, 1)
-
-    def test_high_degree_needs_more_points_up_to_the_cap(self, monkeypatch):
-        x = ParamPoly({((0, 2**22),): 1})
-        m = ParamMatrix.from_rows([[x, x], [x, x]], 1)
-        # degree 2 * 2^22 = 2^23: one point gives about 2^-38, two meet 2^-40
-        assert _points(2**23, FIELD_PRIME, 10) == 2
-        assert self.points(monkeypatch, m) == (1, 2)
-        assert self.points(monkeypatch, m, trials=1) == (1, 1)

@@ -37,9 +37,9 @@ from sfspectrum.structural import (
 from sfspectrum.polymatrix import FIELD_PRIME, _points, rank_exact
 from sfspectrum import system
 from sfspectrum.cli import parse_system_dict
-from sfspectrum.system import all_subsets, reachability, split
+from sfspectrum.system import all_subsets, reachability, split, stack
 from sfspectrum.ensembles import random_binary_system
-from conftest import perfbench_module
+from conftest import perfbench_module, symbolic_feedback, two_channel_shared_params
 
 p = ParamPoly.param
 F = Fraction
@@ -638,6 +638,38 @@ class TestDecideLinear:
             dims_seen += len(zero)
         assert dims_seen > len(systems)
 
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        """One decide_linear call evaluates A, the stacked B and the stacked C
+        at most once per point, whatever 2^k is: its three questions share the
+        points.  Over the 61-bit prime every claim of these degree-1 systems
+        stops at one point, so the call evaluates exactly three matrices."""
+        calls = {}
+        evaluate_at = ParamMatrix.evaluate_at
+
+        def counted(self, values, modulus=None):
+            key = (id(self), tuple(values))
+            calls[key] = calls.get(key, 0) + 1
+            return evaluate_at(self, values, modulus)
+
+        monkeypatch.setattr(ParamMatrix, "evaluate_at", counted)
+        systems = _linear_scale_systems(1, 20) + [
+            random_binary_system(seed=36_000 + i, max_n=5, max_k=4) for i in range(40)
+        ]
+        small = [random_binary_system(seed=37_000 + i, max_n=4, max_k=4) for i in range(40)]
+        for sys_ in small:
+            object.__setattr__(sys_, "prime", 101)
+        ks = set()
+        for sys_ in systems + small:
+            calls.clear()
+            decide_linear(sys_, seed=9)
+            points = {values for _, values in calls}
+            assert all(count == 1 for count in calls.values())
+            assert len(calls) == 3 * len(points)
+            if sys_.prime != 101:
+                assert len(points) == 1
+            ks.add(sys_.k)
+        assert ks >= {2, 3, 4}
+
     def test_worked_example_no_sfs(self, worked_system):
         verdict = decide_linear(worked_system, seed=6)
         assert not verdict.has_sfs
@@ -701,6 +733,76 @@ class TestDecideLinear:
         assert verdict.has_sfs
         assert verdict.reason == REASON_GENERIC_RANK
         assert closed_loop_generic_rank(sys_) == 1
+
+
+def _state_only_system(rows, q) -> MultiChannelSystem:
+    """A system with state matrix ``rows`` and one channel of no input or output."""
+    n = len(rows)
+    return MultiChannelSystem(
+        n=n,
+        channels=((0, 0),),
+        A=ParamMatrix.from_rows(rows, q),
+        B_blocks=(ParamMatrix.zeros(n, 0, q),),
+        C_blocks=(ParamMatrix.zeros(0, n, q),),
+        q=q,
+    )
+
+
+class TestClosedLoopRank:
+    """closed_loop_generic_rank samples through the shared stop: it ends at a
+    full-rank point, or once (degree / p)^t <= 2^-40."""
+
+    def points(self, monkeypatch, sys_, **kwargs):
+        points = set()
+        evaluate_at = ParamMatrix.evaluate_at
+
+        def counting(self, values, modulus=None):
+            if self is sys_.A:
+                points.add(tuple(values))
+            return evaluate_at(self, values, modulus)
+
+        monkeypatch.setattr(ParamMatrix, "evaluate_at", counting)
+        rank = closed_loop_generic_rank(sys_, **kwargs)
+        monkeypatch.undo()
+        return rank, len(points)
+
+    def test_worked_example_closed_loop(self):
+        # independent oracle: the 2x2 determinant of A + B F C is a nonzero
+        # polynomial; exhaustive small-grid evaluation finds a nonzero value
+        sys_ = two_channel_shared_params()
+        B, C = stack(sys_)
+        F = symbolic_feedback(sys_.channels, offset=sys_.q)
+        closed = [
+            [
+                sys_.A.entry(i, j)
+                + sum(
+                    (B.entry(i, r) * f * C.entry(c, j) for (r, c), f in F.items()),
+                    ParamPoly.zero(),
+                )
+                for j in range(sys_.n)
+            ]
+            for i in range(sys_.n)
+        ]
+        det = closed[0][0] * closed[1][1] - closed[0][1] * closed[1][0]
+        assert any(det.evaluate(v) != 0 for v in itertools.product([0, 1, 2], repeat=6))
+        assert closed_loop_generic_rank(sys_) == 2
+
+    def test_rank_deficient_takes_one_point(self, monkeypatch):
+        # degree 2 * 1 over a 61-bit prime: one point already bounds it by 2^-60
+        sys_ = _state_only_system([[p(0), p(0)], [p(0), p(0)]], 1)
+        assert self.points(monkeypatch, sys_) == (1, 1)
+
+    def test_full_rank_settles_at_the_first_point(self, monkeypatch):
+        sys_ = _state_only_system([[p(0), 1], [0, p(1)]], 2)
+        assert self.points(monkeypatch, sys_) == (2, 1)
+
+    def test_high_degree_needs_more_points_up_to_the_cap(self, monkeypatch):
+        x = ParamPoly({((0, 2**22),): 1})
+        sys_ = _state_only_system([[x, x], [x, x]], 1)
+        # degree 2 * 2^22 = 2^23: one point gives about 2^-38, two meet 2^-40
+        assert _points(2**23, FIELD_PRIME, 10) == 2
+        assert self.points(monkeypatch, sys_) == (1, 2)
+        assert self.points(monkeypatch, sys_, trials=1) == (1, 1)
 
 
 class TestConventionExercises:
