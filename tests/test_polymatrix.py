@@ -12,7 +12,7 @@ from sfspectrum import (
     ParamPoly,
     rank_exact,
 )
-from sfspectrum.polymatrix import FALLBACK_PRIME, evaluation_prime
+from sfspectrum.polymatrix import FALLBACK_PRIME, _confirm, evaluation_prime
 from conftest import two_channel_shared_params
 
 p = ParamPoly.param
@@ -171,3 +171,13 @@ class TestEvaluationPrime:
         both = ParamPoly.constant(Fraction(1, FIELD_PRIME * FALLBACK_PRIME))
         with pytest.raises(ValueError, match="no evaluation prime fits"):
             evaluation_prime([ParamMatrix.from_rows([[both]], 0)])
+
+
+class TestConfirm:
+    def test_trials_must_be_positive(self):
+        # the shared stop checks its cap before it samples a single point
+        sampled = []
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                _confirm(sampled.append, 0, FIELD_PRIME, trials)
+        assert sampled == []
