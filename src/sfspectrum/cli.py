@@ -577,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,  # a fresh list per parse: the cached parser shares its defaults
         metavar="NAME=VALUE",
-        help="assign a parameter an exact rational value (repeatable)",
+        help="assign a parameter an exact rational value (repeatable, once per parameter)",
     )
     p_fixed.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
     p_fixed.add_argument(
@@ -658,6 +658,8 @@ def main(argv=None) -> int:
                     raise SystemFileError(
                         f"--set expects NAME=NUM or NAME=NUM/DEN, got {item!r}"
                     )
+                if name in assignments:
+                    raise SystemFileError(f"--set assigns parameter {name!r} twice")
                 assignments[name] = coeff
             report, code = cmd_fixed_modes(
                 args.path,

@@ -22,19 +22,25 @@ Three decision routes are provided:
 
 Both routes answer every question at the points of one ``_SamplePoints``:
 uniform points of GF(p)^q, p the system's evaluation prime, each evaluated
-once and shared by all the claims of the decision.  No-SFS verdicts rest on
-an explicit certificate and report failure bound 0.  An SFS verdict rests on
-claims sampled through ``polymatrix._confirm``: until (degree / p)^t, times
-the number of claims a false verdict may come from, is at most
-``FAILURE_TARGET`` = 2^-40, or until ``trials`` points (the stop rule and
-its Schwartz-Zippel argument are in the ``polymatrix`` module docstring).
-That factor is a union bound, so it holds although claims share points;
-each claim's own points are independent.
-The verdict reports the bound it reached as
-``diagnostics["failure_bound"]``, a float rounded from an exact fraction of
-integers.  With d_A, d_B and d_C the largest entry degrees of A, the B
-blocks and the C blocks (``MultiChannelSystem.degrees``), and the entries of
-E, K and F free variables of degree 1:
+once and shared by all the claims of the decision.  A point also keeps the
+nonzero entries of its A, row by row, and those of A^T, built on first use:
+the Markov and Krylov products of ``decide_linear`` walk these sparse rows,
+so a step costs the stored entries of A, not its n^2 positions, while the
+pencil and closed-loop products, whose right factors are dense, stay dense
+(``_mat_mul_mod``).
+
+No-SFS verdicts rest on an explicit certificate and report failure bound 0.
+An SFS verdict rests on claims sampled through ``polymatrix._confirm``:
+until (degree / p)^t, times the number of claims a false verdict may come
+from, is at most ``FAILURE_TARGET`` = 2^-40, or until ``trials`` points
+(the stop rule and its Schwartz-Zippel argument are in the ``polymatrix``
+module docstring).  That factor is a union bound, so it holds although
+claims share points; each claim's own points are independent.  The verdict
+reports the bound it reached as ``diagnostics["failure_bound"]``, a float
+rounded from an exact fraction of integers.  With d_A, d_B and d_C the
+largest entry degrees of A, the B blocks and the C blocks
+(``MultiChannelSystem.degrees``), and the entries of E, K and F free
+variables of degree 1:
 
 * Pencil drop of S.  If S drops nowhere for generic parameters, some E, K
   moves every eigenvalue of A, so R = Res_lambda(chi(A), chi(A + B_S E +
@@ -67,6 +73,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .polymatrix import Echelon, _bound, _confirm, _residue, rank_exact
 from .system import (
@@ -251,19 +259,25 @@ def _uniform(rng: random.Random, rows: int, cols: int, p: int):
 
 
 class _SamplePoint:
-    """A system evaluated once at a point of GF(p): A, the stacked B and C, and
-    chi(A) on its first use.  A subset's B_S and C_compl are slices of B and C."""
+    """A system evaluated once at a point of GF(p): A, the stacked B and C, and,
+    each on its first use, chi(A) and the sparse rows of A and of A^T.  A
+    subset's B_S and C_compl are slices of B and C."""
 
     def __init__(self, sys: MultiChannelSystem, stacked, residues):
         self.sys = sys
         self.A, self.B, self.C = (M.evaluate_at(residues, sys.prime) for M in (sys.A, *stacked))
-        self._char_A = None
 
-    @property
+    @cached_property
     def char_A(self) -> list:
-        if self._char_A is None:
-            self._char_A = char_poly_exact(self.A, self.sys.prime)
-        return self._char_A
+        return char_poly_exact(self.A, self.sys.prime)
+
+    @cached_property
+    def A_rows(self) -> list:
+        return _sparse_rows(self.A)
+
+    @cached_property
+    def AT_rows(self) -> list:
+        return _sparse_rows(zip(*self.A))
 
     def split(self, s: ChannelSubset) -> tuple[list, list]:
         """(B_S, C_compl) at this point, blocks in increasing channel order."""
@@ -326,6 +340,12 @@ def pencil_drop_at_point(
         raise ValueError(f"point has {len(values)} coordinates, system expects {sys.q}")
     p = sys.prime
     if _point is None:
+        for i, v in enumerate(values):
+            if Fraction(v).denominator % p == 0:
+                raise ValueError(
+                    f"coordinate {i + 1} of the point, {v}, has a denominator divisible by "
+                    f"the system's evaluation prime {p}"
+                )
         _point = _SamplePoint(sys, stack(sys), [_residue(v, p) for v in values])
     B, C = _point.split(s)
     rng = random.Random(seed)
@@ -454,7 +474,10 @@ def _mat_mul_mod(a, b, p):
     """The product a b of residue matrices mod p, reduced once per output row.
 
     Each output row accumulates x * (row t of b) over the nonzero entries x
-    of its row of a as plain integers and is reduced mod p at the end.
+    of its row of a as plain integers and is reduced mod p at the end.  It
+    walks every entry of the rows of b it uses, so it suits a dense b: the
+    pencil and closed-loop products, whose right factors are drawn gains,
+    output matrices and their products.
     """
     cols = len(b[0]) if b else 0
     out = []
@@ -463,6 +486,30 @@ def _mat_mul_mod(a, b, p):
         for x, bt in zip(ai, b):
             if x:
                 acc = [s + x * y for s, y in zip(acc, bt)]
+        out.append([s % p for s in acc])
+    return out
+
+
+def _sparse_rows(M) -> list:
+    """The nonzero entries of each row of M, as (column, value) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in M]
+
+
+def _sparse_mul_mod(a, rows, width, p):
+    """The product a M mod p, for residue rows a and M given by ``_sparse_rows``.
+
+    M has ``width`` columns.  Each output row adds x * y into column j for
+    every nonzero x of its row of a and every stored (j, y) of the matching
+    row of M, so a row costs the stored entries of M, not all its
+    positions, and is reduced mod p at the end.
+    """
+    out = []
+    for ai in a:
+        acc = [0] * width
+        for x, row in zip(ai, rows):
+            if x:
+                for j, y in row:
+                    acc[j] += x * y
         out.append([s % p for s in acc])
     return out
 
@@ -478,9 +525,12 @@ def markov_identity(
 
     Decided by polynomial identity testing: the products are evaluated at
     random prime-field points; any nonzero entry is an exact refutation.
-    All-zero results confirm the identity once 2^(k+1) (degree / p)^t is at
-    most FAILURE_TARGET, degree = d_C + (n - 1) d_A + d_B (module
-    docstring), or after ``trials`` points.  With no column in B_S or no
+    At a point the columns of A^j B_S are kept as rows and stepped to
+    j + 1 by the sparse rows of A^T (``_sparse_mul_mod``), so a step costs
+    the stored entries of A per column, not n^2.  All-zero results confirm
+    the identity once 2^(k+1) (degree / p)^t is at most FAILURE_TARGET,
+    degree = d_C + (n - 1) d_A + d_B (module docstring), or after
+    ``trials`` points.  With no column in B_S or no
     row in C_compl every product is empty, and no point refutes it.
     """
     points = _SamplePoints(sys, random.Random(seed)) if _points is None else _points
@@ -488,33 +538,36 @@ def markov_identity(
 
     def refutes(t):
         point = points[t]
-        M, C = point.split(s)
-        if not M[0] or not C:
+        B_S, C = point.split(s)
+        if not B_S[0] or not C:
             return False  # an empty product, whatever A is
+        V = list(zip(*B_S))  # the columns of A^j B_S, as rows: V A^T at the next j
         for _ in range(sys.n):
-            prod = _mat_mul_mod(C, M, p)
-            if any(x for row in prod for x in row):
+            if any(sum(map(mul, c, v)) % p for c in C for v in V):
                 return True
-            M = _mat_mul_mod(point.A, M, p)
+            V = _sparse_mul_mod(V, point.AT_rows, sys.n, p)
         return False
 
     return _confirm(refutes, _markov_degree(sys), p, trials, claims=2 ** (sys.k + 1)) is not None
 
 
-def _krylov_dim(rows, M, p: int) -> int:
+def _krylov_dim(rows, M_rows, p: int, cap: int) -> int:
     """Dimension of the smallest M-invariant row space (over GF(p)) holding ``rows``.
 
-    The span grows step by step: the rows that enlarged the echelon basis
-    are multiplied by M and offered again, and growth stops at the first
-    step that keeps nothing.  The kept rows span a space that holds the
-    starting rows, and M maps every kept row into it (each image was
-    offered and either kept or found in the span), so the space is
-    M-invariant: it is the whole Krylov space.
+    M is square and given by its sparse rows (``_sparse_rows``), so a step
+    costs the stored entries of M per row.  The span grows step by step:
+    the rows that enlarged the echelon basis are multiplied by M and
+    offered again, and growth stops at the first step that keeps nothing.
+    The kept rows span a space that holds the starting rows, and M maps
+    every kept row into it (each image was offered and either kept or found
+    in the span), so the space is M-invariant: it is the whole Krylov
+    space.  Growth also stops once the basis reaches ``cap``, a bound on
+    that dimension known in advance (at most the width of M).
     """
     basis = Echelon(p)
-    while rows:
+    while rows and len(basis) < cap:
         kept = [r for r in rows if basis.add(r)]
-        rows = _mat_mul_mod(kept, M, p) if kept else []
+        rows = _sparse_mul_mod(kept, M_rows, len(M_rows), p)
     return len(basis)
 
 
@@ -528,7 +581,8 @@ def generic_dims(
     Krylov matrix is the Krylov matrix of the evaluations).  At each point
     the span of B_S's columns (as rows, multiplied by A^T) and of C_compl's
     rows (multiplied by A) is grown only from the vectors that enlarged it,
-    and stops at the first step that adds none: the span is then
+    through the point's sparse rows of A^T and A (``_krylov_dim``), and
+    stops at the first step that adds none: the span is then
     A-invariant and holds B_S (respectively C_compl), so it is the whole
     Krylov space, exactly, over any field.  Conventions: an empty S gives
     dimension 0; an empty complement gives unobservable dimension n.
@@ -540,10 +594,12 @@ def generic_dims(
     point, over any field, the controllable Krylov space is supported on
     the set R reachable from those rows: its dimension is at most |R|.
     Likewise every row of C_compl A^j is supported on the set O of states
-    from which C_compl's stored columns are reachable.  Once both maxima
-    reach |R| and |O| they are exact.  Otherwise sampling stops once
-    2^(k+1) (degree / p)^t is at most FAILURE_TARGET, degree the sum of the
-    two Krylov minor degrees (module docstring), or after ``trials`` points.
+    from which C_compl's stored columns are reachable.  So the growth at a
+    point also stops once the span reaches |R| (respectively |O|), and
+    once both maxima reach |R| and |O| they are exact.  Otherwise sampling
+    stops once 2^(k+1) (degree / p)^t is at most FAILURE_TARGET, degree the
+    sum of the two Krylov minor degrees (module docstring), or after
+    ``trials`` points.
     """
     if any(i >= sys.k for i in s):
         raise ValueError(f"channel index out of range for k={sys.k}")
@@ -559,8 +615,8 @@ def generic_dims(
         nonlocal best_ctrb, best_obs
         point = points[t]
         B_S, C_compl = point.split(s)
-        best_ctrb = max(best_ctrb, _krylov_dim(list(zip(*B_S)), list(zip(*point.A)), p))
-        best_obs = max(best_obs, _krylov_dim(C_compl, point.A, p))
+        best_ctrb = max(best_ctrb, _krylov_dim(list(zip(*B_S)), point.AT_rows, p, ctrb_cap))
+        best_obs = max(best_obs, _krylov_dim(C_compl, point.A_rows, p, obs_cap))
         return best_ctrb == ctrb_cap and best_obs == obs_cap
 
     _confirm(reaches_caps, _krylov_degree(sys), p, trials, claims=2 ** (sys.k + 1))

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from sfspectrum import MultiChannelSystem, NumericSystem, ParamMatrix, ParamPoly
+from sfspectrum.polymatrix import Echelon
+from sfspectrum.structural import _mat_mul_mod
 from sfspectrum.system import feedback_slots
 
 p = ParamPoly.param
@@ -19,6 +21,20 @@ def perfbench_module(name: str):
     if str(PERFBENCH) not in sys.path:
         sys.path.append(str(PERFBENCH))
     return importlib.import_module(name)
+
+
+def dense_krylov_dim(rows, M, prime: int) -> int:
+    """Reference: dimension of the smallest M-invariant row space holding ``rows``.
+
+    The stall-stop growth with dense products (``_mat_mul_mod``) by a dense
+    M and no cap, so an oracle built on it shares no code with the sparse
+    products of ``structural._krylov_dim``.
+    """
+    basis = Echelon(prime)
+    while rows:
+        kept = [r for r in rows if basis.add(r)]
+        rows = _mat_mul_mod(kept, M, prime) if kept else []
+    return len(basis)
 
 
 def symbolic_feedback(channels, offset: int = 0) -> ParamMatrix:

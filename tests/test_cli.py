@@ -682,6 +682,17 @@ class TestEntryParser:
         err = capsys.readouterr().err
         assert err == "error: --set expects NAME=NUM or NAME=NUM/DEN, got 'p1'\n"
 
+    @pytest.mark.parametrize("second", ["5", "2", "4/2"])
+    @pytest.mark.parametrize("form", ["pair", "equals"])
+    def test_a_parameter_set_twice_is_refused(self, worked_file, capsys, second, form):
+        # the same value or another, read by the fast path or by argparse
+        sets = ["p1=2", f"p1={second}", "p2=1", "p3=1", "p4=1"]
+        argv = ["fixed-modes", str(worked_file)]
+        for item in sets:
+            argv += ["--set", item] if form == "pair" else [f"--set={item}"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --set assigns parameter 'p1' twice\n")
+
     def test_set_values_are_exact(self, worked_file, capsys):
         argv = ["fixed-modes", str(worked_file), "--samples", "20", "--format", "json"]
         values = {"p1": "+3", "p2": "-6/4", "p3": "3/1", "p4": f"1/{FIELD_PRIME}"}
@@ -958,11 +969,17 @@ class TestSetPairs:
         sets = [arg for n in NAMES for arg in ("--set", f"{n}=1")]
         assert main(base + sets) == EXIT_OK
         first = capsys.readouterr().out
-        # a repeated name keeps its last value, as argparse's list has it
-        assert main(base + ["--set", "p1=7"] + sets) == EXIT_OK
+        assert main(base + sets[2:] + sets[:2]) == EXIT_OK  # the first pair moved last
         assert capsys.readouterr().out == first
-        assert main(base + sets + ["--set", "p1=7"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["point"]["p1"] == "7"
+        # the first malformed pair in argv order is the one reported
+        bad = ["--set", "p2=x", "--set", "p1=y"]
+        assert main(base + bad + sets) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: --set expects NAME=NUM or NAME=NUM/DEN, got 'p2=x'\n"
+        # a repeated name is refused, before or after the others
+        for argv in (base + ["--set", "p1=7"] + sets, base + sets + ["--set", "p1=7"]):
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error: --set assigns parameter 'p1' twice\n")
 
 
 # -- option values ------------------------------------------------------------------

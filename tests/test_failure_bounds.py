@@ -26,7 +26,6 @@ from sfspectrum.structural import (
     REASON_PROPER_SUBSPACE,
     GenericDims,
     _krylov_degree,
-    _krylov_dim,
     _markov_degree,
     _mat_add_mod,
     _mat_mul_mod,
@@ -41,7 +40,7 @@ from sfspectrum.structural import (
     pencil_drop_at_point,
 )
 from sfspectrum.system import ChannelSubset, split, stack
-from conftest import PERFBENCH, perfbench_module, symbolic_feedback
+from conftest import PERFBENCH, dense_krylov_dim, perfbench_module, symbolic_feedback
 from test_golden_reports import CASES
 from test_pencil_route import golden_system, random_polynomial_system, witness_points
 
@@ -139,9 +138,9 @@ def old_generic_dims(sys_, s, trials=10, seed=0):
         A = sys_.A.evaluate_at(values, p)
         if B_S.cols:
             columns = list(zip(*B_S.evaluate_at(values, p)))
-            best_ctrb = max(best_ctrb, _krylov_dim(columns, list(zip(*A)), p))
+            best_ctrb = max(best_ctrb, dense_krylov_dim(columns, list(zip(*A)), p))
         if C_compl.rows:
-            best_obs = max(best_obs, _krylov_dim(C_compl.evaluate_at(values, p), A, p))
+            best_obs = max(best_obs, dense_krylov_dim(C_compl.evaluate_at(values, p), A, p))
         if best_ctrb == ctrb_cap and best_obs == obs_cap:
             break
     return GenericDims(ctrb_dim=best_ctrb, unobs_dim=n - best_obs)

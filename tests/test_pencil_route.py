@@ -8,6 +8,7 @@ differ from the earlier route; verdict, reason and witness must not.
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,19 @@ def test_pencil_drop_refuses_a_point_of_the_wrong_length(coordinates):
     with pytest.raises(ValueError, match=f"point has {coordinates} coordinates, system expects 1"):
         pencil_drop_at_point(sys_, ChannelSubset.of(0), [2] * coordinates)
     assert pencil_drop_at_point(sys_, ChannelSubset.of(0), [2])  # {1} is the witness
+
+
+@pytest.mark.parametrize("num, den_factor", [(1, 1), (-2, 3), (5, 7)])
+def test_pencil_drop_refuses_a_coordinate_without_a_residue(num, den_factor):
+    # a denominator divisible by the evaluation prime has no inverse mod p:
+    # the error names the coordinate and the prime, not the modular inverse
+    sys_ = golden_system("chain_fixed_mode.json")
+    bad = Fraction(num, den_factor * sys_.prime)
+    want = (f"coordinate 1 of the point, {bad}, has a denominator divisible by "
+            f"the system's evaluation prime {sys_.prime}")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        pencil_drop_at_point(sys_, ChannelSubset.of(0), [bad])
+    assert pencil_drop_at_point(sys_, ChannelSubset.of(0), [Fraction(5, 3)])
 
 
 class TestSharedPoints:

@@ -30,6 +30,9 @@ from sfspectrum.structural import (
     _krylov_degree,
     _krylov_dim,
     _mat_mul_mod,
+    _SamplePoint,
+    _sparse_mul_mod,
+    _sparse_rows,
     char_poly_exact,
     pencil_drop_at_point,
     poly_gcd,
@@ -39,7 +42,12 @@ from sfspectrum import system
 from sfspectrum.cli import parse_system_dict
 from sfspectrum.system import all_subsets, reachability, split, stack
 from sfspectrum.ensembles import random_binary_system
-from conftest import perfbench_module, symbolic_feedback, two_channel_shared_params
+from conftest import (
+    dense_krylov_dim,
+    perfbench_module,
+    symbolic_feedback,
+    two_channel_shared_params,
+)
 
 p = ParamPoly.param
 F = Fraction
@@ -397,6 +405,43 @@ def _obs_cap_met_system() -> MultiChannelSystem:
     return _rank_one_term_system(c_states=(1,))
 
 
+def _residues(rng, rows, cols, prime, zero_rows=()):
+    """A rows x cols residue matrix, about a third of its entries and the
+    rows in ``zero_rows`` zero."""
+    return [[0 if i in zero_rows or rng.random() < 0.3 else rng.randrange(prime)
+             for _ in range(cols)] for i in range(rows)]
+
+
+class TestSparseProducts:
+    """``_sparse_mul_mod`` by the sparse rows of M equals the dense ``_mat_mul_mod``."""
+
+    @pytest.mark.parametrize("prime", [101, P])
+    def test_matches_mat_mul_mod(self, prime):
+        rng = random.Random(prime)
+        shapes = [(0, 3, 4), (3, 4, 0), (0, 4, 0), (1, 1, 1)]  # 0 x n and n x 0 factors
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(80)]
+        for r, k, c in shapes:
+            a = _residues(rng, r, k, prime, zero_rows={rng.randrange(r)} if r else ())
+            b = _residues(rng, k, c, prime, zero_rows={rng.randrange(k)})
+            assert _sparse_mul_mod(a, _sparse_rows(b), c, prime) == _mat_mul_mod(a, b, prime)
+
+    def test_sparse_rows_keep_the_nonzero_entries(self):
+        assert _sparse_rows([[0, 5, 0], [0, 0, 0], [7, 0, 1]]) == [[(1, 5)], [], [(0, 7), (2, 1)]]
+        assert _sparse_rows([[], []]) == [[], []]
+        assert _sparse_rows([]) == []
+
+    @pytest.mark.parametrize("prime", [101, P])
+    def test_markov_step_is_the_transposed_product(self, prime):
+        # markov_identity steps the columns of A^j B_S, as rows, by the sparse rows of A^T
+        rng = random.Random(prime + 1)
+        for _ in range(60):
+            n, m = rng.randint(1, 7), rng.randint(1, 3)
+            A = _residues(rng, n, n, prime, zero_rows={rng.randrange(n)})
+            M = _residues(rng, n, m, prime)
+            step = _sparse_mul_mod(_transpose(M, m), _sparse_rows(zip(*A)), n, prime)
+            assert step == _transpose(_mat_mul_mod(A, M, prime), m)
+
+
 class TestGenericDimsReference:
     def test_mat_mul_mod_matches_naive_product(self):
         rng = random.Random(5)
@@ -432,7 +477,12 @@ class TestGenericDimsReference:
             elif kind == "sparse":
                 A = [[x if rng.random() < 0.3 else 0 for x in row] for row in A]
             columns = _transpose(B, m)
-            assert _krylov_dim(columns, _transpose(A, n), prime) == _full_krylov_rank(A, B, prime)
+            AT = _transpose(A, n)
+            want = _full_krylov_rank(A, B, prime)
+            assert dense_krylov_dim(columns, AT, prime) == want
+            # the sparse kernel, capped by the width or by the dimension itself
+            for cap in (n, want):
+                assert _krylov_dim(columns, _sparse_rows(AT), prime, cap) == want
 
     def test_matches_reference_on_random_ensembles(self):
         for seed in range(40):
@@ -548,8 +598,9 @@ class TestKrylovCap:
                     A = sys_.A.evaluate_at(values, prime)
                     columns = _transpose(B_S.evaluate_at(values, prime), B_S.cols)
                     rows = C_compl.evaluate_at(values, prime)
-                    assert _krylov_dim(columns, _transpose(A, n), prime) <= ctrb_cap
-                    assert _krylov_dim(rows, A, prime) <= obs_cap
+                    AT_rows = _sparse_rows(_transpose(A, n))
+                    assert _krylov_dim(columns, AT_rows, prime, n) <= ctrb_cap
+                    assert _krylov_dim(rows, _sparse_rows(A), prime, n) <= obs_cap
 
     def test_capped_equals_all_trials_on_sparse_systems(self):
         rng = random.Random(8)
@@ -669,6 +720,39 @@ class TestDecideLinear:
                 assert len(points) == 1
             ks.add(sys_.k)
         assert ks >= {2, 3, 4}
+
+    def test_sparse_rows_are_built_once_per_point(self, monkeypatch):
+        """One decide_linear call builds the sparse rows of A and of A^T at most
+        once per point, although every subset's zero transfer and dimensions
+        step by them there."""
+        built = []
+        points = []
+        sparse_rows, init = _sparse_rows, _SamplePoint.__init__
+
+        def counted_rows(M):
+            built.append(1)
+            return sparse_rows(M)
+
+        def counted_init(self, *args):
+            points.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr("sfspectrum.structural._sparse_rows", counted_rows)
+        monkeypatch.setattr(_SamplePoint, "__init__", counted_init)
+        systems = _linear_scale_systems(1, 20) + [
+            random_binary_system(seed=36_000 + i, max_n=5, max_k=4) for i in range(40)
+        ]
+        asked = both = 0
+        for sys_ in systems:
+            built.clear()
+            points.clear()
+            verdict = decide_linear(sys_, seed=9)
+            assert len(built) <= 2 * len(points)
+            subsets = verdict.diagnostics["subsets"]
+            asked += len(subsets) > 1 and len(built) > 0
+            both += any("ctrb_dim" in entry for entry in subsets) and len(built) == 2 * len(points)
+        # many calls ask several subsets at one point, and some build both forms
+        assert asked >= 20 and both >= 10, (asked, both)
 
     def test_worked_example_no_sfs(self, worked_system):
         verdict = decide_linear(worked_system, seed=6)
